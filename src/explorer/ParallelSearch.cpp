@@ -24,27 +24,28 @@ using namespace closer;
 // Monitor
 //===----------------------------------------------------------------------===//
 
-/// Observability sidecar thread: periodically snapshots the lock-free
-/// counters in SharedSearchControl for `--progress` lines, and raises the
+/// Observability sidecar thread: periodically sums the explorers'
+/// worker-owned counter blocks for `--progress` lines, and raises the
 /// cooperative stop flag when the wall-clock budget expires or an external
 /// stop flag (SIGINT) is set. Workers are never blocked by it — they only
 /// ever see relaxed atomic loads/stores.
 class ParallelExplorer::Monitor {
 public:
+  /// \p Blocks are the counter blocks of every explorer of the run; they
+  /// must outlive the monitor thread (stop() or destruction).
   Monitor(const SearchOptions &Opts, SharedSearchControl &Control,
-          ExploreScheduler *Sched)
-      : Opts(Opts), Control(Control), Sched(Sched) {}
+          ExploreScheduler *Sched, std::vector<const SearchCounters *> Blocks)
+      : Opts(Opts), Control(Control), Sched(Sched),
+        Blocks(std::move(Blocks)) {}
 
   ~Monitor() { stop(); }
 
-  /// Whether these options need a monitor thread at all.
-  static bool wanted(const SearchOptions &Opts) {
-    return Opts.ProgressIntervalSeconds > 0 || Opts.TimeBudgetSeconds > 0 ||
-           Opts.ExternalStop != nullptr;
-  }
-
+  /// Starts the monitor thread, unless these options need none.
   void start() {
-    if (!wanted(Opts) || T.joinable())
+    const bool Wanted = Opts.ProgressIntervalSeconds > 0 ||
+                        Opts.TimeBudgetSeconds > 0 ||
+                        Opts.ExternalStop != nullptr;
+    if (!Wanted || T.joinable())
       return;
     Begin = std::chrono::steady_clock::now();
     T = std::thread([this] { loop(); });
@@ -77,8 +78,34 @@ private:
       Sched->requestStop(); // Targeted unparks; workers observe Stop.
   }
 
-  void emitProgress(double Elapsed, double Dt, uint64_t States,
-                    uint64_t Trans, uint64_t LastStates, uint64_t LastTrans) {
+  /// The run-wide view of the counter blocks: sums, and the max depth.
+  struct Totals {
+    unsigned long long States = 0, Transitions = 0, Runs = 0, Reports = 0,
+                       MaxDepth = 0, CacheHits = 0, CacheInserts = 0,
+                       CacheSaturated = 0;
+  };
+
+  Totals sum() const {
+    auto Get = [](const std::atomic<uint64_t> &C) {
+      return static_cast<unsigned long long>(
+          C.load(std::memory_order_relaxed));
+    };
+    Totals T;
+    for (const SearchCounters *B : Blocks) {
+      T.States += Get(B->States);
+      T.Transitions += Get(B->Transitions);
+      T.Runs += Get(B->Runs);
+      T.Reports += Get(B->Reports);
+      T.MaxDepth = std::max(T.MaxDepth, Get(B->MaxDepth));
+      T.CacheHits += Get(B->CacheHits);
+      T.CacheInserts += Get(B->CacheInserts);
+      T.CacheSaturated += Get(B->CacheSaturated);
+    }
+    return T;
+  }
+
+  void emitProgress(double Elapsed, double Dt, const Totals &Now,
+                    const Totals &Last) {
     if (Dt <= 0)
       Dt = 1;
     // Cache traffic is appended only for cached runs, pre-formatted so the
@@ -86,31 +113,18 @@ private:
     // printing cannot shear it).
     char CacheBuf[128] = "";
     if (Opts.stateCacheEnabled())
-      std::snprintf(
-          CacheBuf, sizeof(CacheBuf),
-          " cache-hits=%llu cache-inserts=%llu cache-saturated=%llu",
-          static_cast<unsigned long long>(
-              Control.CacheHits.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              Control.CacheInserts.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              Control.CacheSaturated.load(std::memory_order_relaxed)));
+      std::snprintf(CacheBuf, sizeof(CacheBuf),
+                    " cache-hits=%llu cache-inserts=%llu cache-saturated=%llu",
+                    Now.CacheHits, Now.CacheInserts, Now.CacheSaturated);
     std::fprintf(
         stderr,
         "progress: t=%.1fs states=%llu states/s=%.0f transitions=%llu "
         "trans/s=%.0f depth=%llu frontier=%zu runs=%llu reports=%llu%s\n",
-        Elapsed, static_cast<unsigned long long>(States),
-        static_cast<double>(States - LastStates) / Dt,
-        static_cast<unsigned long long>(Trans),
-        static_cast<double>(Trans - LastTrans) / Dt,
-        static_cast<unsigned long long>(
-            Control.MaxDepthSeen.load(std::memory_order_relaxed)),
-        Sched ? Sched->queuedHint() : static_cast<size_t>(0),
-        static_cast<unsigned long long>(
-            Control.Runs.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            Control.Reports.load(std::memory_order_relaxed)),
-        CacheBuf);
+        Elapsed, Now.States,
+        static_cast<double>(Now.States - Last.States) / Dt, Now.Transitions,
+        static_cast<double>(Now.Transitions - Last.Transitions) / Dt,
+        Now.MaxDepth, Sched ? Sched->queuedHint() : static_cast<size_t>(0),
+        Now.Runs, Now.Reports, CacheBuf);
   }
 
   void loop() {
@@ -123,7 +137,7 @@ private:
 
     double NextProgress = Opts.ProgressIntervalSeconds;
     double LastElapsed = 0;
-    uint64_t LastStates = 0, LastTrans = 0;
+    Totals Last;
 
     std::unique_lock<std::mutex> Lock(M);
     for (;;) {
@@ -141,12 +155,9 @@ private:
           triggerStop();
       }
       if (Opts.ProgressIntervalSeconds > 0 && Elapsed >= NextProgress) {
-        uint64_t States = Control.StatesVisited.load(std::memory_order_relaxed);
-        uint64_t Trans = Control.Transitions.load(std::memory_order_relaxed);
-        emitProgress(Elapsed, Elapsed - LastElapsed, States, Trans,
-                     LastStates, LastTrans);
-        LastStates = States;
-        LastTrans = Trans;
+        Totals Now = sum();
+        emitProgress(Elapsed, Elapsed - LastElapsed, Now, Last);
+        Last = Now;
         LastElapsed = Elapsed;
         NextProgress = Elapsed + Opts.ProgressIntervalSeconds;
       }
@@ -156,6 +167,7 @@ private:
   const SearchOptions &Opts;
   SharedSearchControl &Control;
   ExploreScheduler *Sched;
+  const std::vector<const SearchCounters *> Blocks;
   std::chrono::steady_clock::time_point Begin;
   std::thread T;
   std::mutex M;
@@ -326,9 +338,7 @@ void ParallelExplorer::driveExplorer(Explorer &Ex, ExploreScheduler *Sched,
   // starves, with no tuning knob to mis-set.
   for (;;) {
     bool Continue = Ex.runOnce();
-    ++Ex.Stats.Runs;
-    uint64_t TotalRuns = Control.Runs.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (Options.MaxRuns && TotalRuns >= Options.MaxRuns)
+    if (Ex.countRun())
       Ex.requestStop();
     if (!Continue || Ex.stopRequested()) {
       // A cooperative stop cut this path short; remember the in-flight
@@ -461,19 +471,14 @@ SearchStats ParallelExplorer::run() {
   if (Options.stateCacheEnabled())
     Cache = std::make_unique<StateCache>(Options.effectiveStateCacheBits());
 
+  Control.reset();
+
   if (Options.Jobs <= 1) {
     Explorer Ex(Mod, Options);
     Ex.Cache = Cache.get();
-    // Observability (progress counters, budgets, SIGINT) rides on the
-    // shared-control atomics; attach them only when asked for, so an
-    // unobserved sequential run keeps its atomic-free hot path.
-    const bool Observed = Monitor::wanted(Options);
-    Monitor Mon(Options, Control, nullptr);
-    if (Observed) {
-      Control.resetCounters();
-      Ex.Shared = &Control;
-      Mon.start();
-    }
+    Ex.Shared = &Control;
+    Monitor Mon(Options, Control, nullptr, {&Ex.Live});
+    Mon.start();
     Ex.run();
     Mon.stop();
     std::vector<Explorer *> Parts{&Ex};
@@ -489,14 +494,27 @@ SearchStats ParallelExplorer::run() {
     return Stats;
   }
 
-  Control.resetCounters();
-
   const int Jobs = static_cast<int>(Options.Jobs);
-  // The scheduler and monitor exist for the whole run — including the
-  // sequential seeding phase, which a time budget or Ctrl-C must also be
-  // able to interrupt.
   ExploreScheduler Sched(Jobs);
-  Monitor Mon(Options, Control, &Sched);
+  // Every explorer of the run exists before the monitor starts, so the
+  // monitor reads a fixed set of counter blocks.
+  Explorer Seeder(Mod, Options);
+  std::vector<std::unique_ptr<Explorer>> Workers;
+  Workers.reserve(static_cast<size_t>(Jobs));
+  for (int W = 0; W != Jobs; ++W)
+    Workers.push_back(std::make_unique<Explorer>(Mod, Options));
+  std::vector<Explorer *> Parts{&Seeder};
+  std::vector<const SearchCounters *> Blocks;
+  for (std::unique_ptr<Explorer> &W : Workers)
+    Parts.push_back(W.get());
+  for (Explorer *Ex : Parts) {
+    Ex->Cache = Cache.get();
+    Ex->Shared = &Control;
+    Blocks.push_back(&Ex->Live);
+  }
+  // The monitor runs for the whole run — including the sequential seeding
+  // phase, which a time budget or Ctrl-C must also be able to interrupt.
+  Monitor Mon(Options, Control, &Sched, std::move(Blocks));
   Mon.start();
 
   // Phase 1 — sequential seeding: expand the tree to the split depth,
@@ -511,9 +529,6 @@ SearchStats ParallelExplorer::run() {
   }
 
   std::vector<std::vector<ReplayStep>> Frontier;
-  Explorer Seeder(Mod, Options);
-  Seeder.Cache = Cache.get();
-  Seeder.Shared = &Control;
   Seeder.FrontierSink = &Frontier;
   Seeder.FrontierDepth = SplitDepth;
   driveExplorer(Seeder, nullptr, 0);
@@ -535,14 +550,6 @@ SearchStats ParallelExplorer::run() {
     }
   }
 
-  std::vector<std::unique_ptr<Explorer>> Workers;
-  Workers.reserve(static_cast<size_t>(Jobs));
-  for (int W = 0; W != Jobs; ++W) {
-    Workers.push_back(std::make_unique<Explorer>(Mod, Options));
-    Workers.back()->Cache = Cache.get();
-    Workers.back()->Shared = &Control;
-  }
-
   if (Control.Stop.load(std::memory_order_acquire))
     Sched.requestStop(); // Budget/first error already hit while seeding.
 
@@ -560,10 +567,6 @@ SearchStats ParallelExplorer::run() {
 
   Mon.stop();
 
-  std::vector<Explorer *> Parts;
-  Parts.push_back(&Seeder);
-  for (std::unique_ptr<Explorer> &W : Workers)
-    Parts.push_back(W.get());
   mergeResults(Parts);
   Stats.Completed = !Control.Stop.load(std::memory_order_acquire);
   Stats.Interrupted = Mon.interrupted() && !Stats.Completed;

@@ -22,8 +22,12 @@
 ///    current path whenever more workers are parked than parcels are
 ///    queued, each donation waking exactly one sleeper, so load stays
 ///    balanced on skewed trees without broadcast wakeups;
-///  * the MaxRuns/MaxStates budgets and the StopOnFirstError stop flag
-///    live in shared atomics consulted at every replay step;
+///  * the only shared writable memory is SharedSearchControl: the stop
+///    flag (raised by StopOnFirstError, a budget, the time budget or
+///    SIGINT; read at every replay step) and the MaxRuns/MaxStates budget
+///    counters (bumped only while those budgets are set). Progress
+///    counters are worker-owned blocks (SearchCounters) that the monitor
+///    thread sums;
 ///  * per-worker SearchStats are merged at exit, and ErrorReports are
 ///    deduplicated by a hash of their choice sequence (by the erroneous
 ///    state's fingerprint under state caching, where distinct paths can

@@ -207,8 +207,7 @@ Explorer::Explorer(const Module &Mod, SearchOptions Options)
 void Explorer::report(ErrorReport R) {
   if (Reports.size() < Options.MaxReports) {
     Reports.push_back(std::move(R));
-    if (Shared)
-      Shared->Reports.fetch_add(1, std::memory_order_relaxed);
+    Live.Reports.store(Reports.size(), std::memory_order_relaxed);
   } else {
     ++Stats.ReportsDropped;
   }
@@ -320,6 +319,17 @@ void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
                                                 P) != Sleep.end();
                              }),
               Out.end());
+}
+
+bool Explorer::countRun() {
+  ++Stats.Runs;
+  Live.Runs.store(Stats.Runs, std::memory_order_relaxed);
+  if (!Options.MaxRuns)
+    return false;
+  uint64_t TotalRuns =
+      Shared ? Shared->Runs.fetch_add(1, std::memory_order_relaxed) + 1
+             : Stats.Runs;
+  return TotalRuns >= Options.MaxRuns;
 }
 
 void Explorer::syncAllocStats() {
@@ -506,22 +516,19 @@ bool Explorer::runOnce() {
         return true;
       }
       ++Stats.StatesVisited;
-      uint64_t TotalStates = Stats.StatesVisited;
-      if (Shared) {
-        TotalStates =
-            Shared->StatesVisited.fetch_add(1, std::memory_order_relaxed) +
-            1;
-        // Progress-only depth high-water mark; a lost CAS race just delays
-        // the update to the next deeper state.
-        uint64_t D = static_cast<uint64_t>(Sys.depth());
-        uint64_t Cur = Shared->MaxDepthSeen.load(std::memory_order_relaxed);
-        while (D > Cur && !Shared->MaxDepthSeen.compare_exchange_weak(
-                              Cur, D, std::memory_order_relaxed)) {
+      Live.States.store(Stats.StatesVisited, std::memory_order_relaxed);
+      const uint64_t Depth = Sys.depth();
+      if (Depth > Live.MaxDepth.load(std::memory_order_relaxed))
+        Live.MaxDepth.store(Depth, std::memory_order_relaxed);
+      if (Options.MaxStates) {
+        uint64_t TotalStates =
+            Shared ? Shared->StatesVisited.fetch_add(
+                         1, std::memory_order_relaxed) + 1
+                   : Stats.StatesVisited;
+        if (TotalStates >= Options.MaxStates) {
+          requestStop();
+          return false;
         }
-      }
-      if (Options.MaxStates && TotalStates >= Options.MaxStates) {
-        requestStop();
-        return false;
       }
       if (Cache) {
         // The cache consult happens only at fresh arrivals — replayed
@@ -532,21 +539,20 @@ bool Explorer::runOnce() {
         case StateCache::Insert::Present:
           ++Stats.HashPrunes;
           ++Stats.CacheHits;
-          if (Shared)
-            Shared->CacheHits.fetch_add(1, std::memory_order_relaxed);
+          Live.CacheHits.store(Stats.CacheHits, std::memory_order_relaxed);
           RecordLeafTrace();
           return true;
         case StateCache::Insert::Inserted:
           ++Stats.CacheInserts;
-          if (Shared)
-            Shared->CacheInserts.fetch_add(1, std::memory_order_relaxed);
+          Live.CacheInserts.store(Stats.CacheInserts,
+                                  std::memory_order_relaxed);
           break;
         case StateCache::Insert::Saturated:
           // Table full: keep exploring without pruning (sound, possibly
           // redundant). Never treat saturation as "seen".
           ++Stats.CacheSaturated;
-          if (Shared)
-            Shared->CacheSaturated.fetch_add(1, std::memory_order_relaxed);
+          Live.CacheSaturated.store(Stats.CacheSaturated,
+                                    std::memory_order_relaxed);
           break;
         }
       }
@@ -631,8 +637,7 @@ bool Explorer::runOnce() {
     }
     ExecResult R = Sys.executeTransition(Chosen, Provider);
     ++Stats.Transitions;
-    if (Shared)
-      Shared->Transitions.fetch_add(1, std::memory_order_relaxed);
+    Live.Transitions.store(Stats.Transitions, std::memory_order_relaxed);
     if (FreshMode)
       ++Stats.TreeTransitions;
     else
@@ -717,6 +722,7 @@ SearchStats Explorer::run() {
   // An externally attached cache (ParallelExplorer's shared table) is the
   // attacher's to manage; only a privately owned one is rebuilt here.
   Stats = SearchStats();
+  Live.reset();
   Reports.clear();
   if (Cache == OwnedCache.get()) {
     if (Options.stateCacheEnabled()) {
@@ -743,13 +749,13 @@ SearchStats Explorer::run() {
 
   for (;;) {
     bool Continue = runOnce();
-    ++Stats.Runs;
+    bool OutOfRuns = countRun();
     if (!Continue || StopFlag) {
       if (stopRequested())
         LastInFlight = currentChoices();
       break;
     }
-    if (Options.MaxRuns && Stats.Runs >= Options.MaxRuns)
+    if (OutOfRuns)
       break;
     if (!backtrack()) {
       Stats.Completed = true;

@@ -115,8 +115,8 @@ struct SearchOptions {
   // Observability & graceful degradation (read by ParallelExplorer)
   //===--------------------------------------------------------------------===//
   /// Print a progress line to stderr every this many seconds (0 = off).
-  /// Driven by a monitor thread over lock-free counter snapshots; workers
-  /// never block or synchronize for it.
+  /// Driven by a monitor thread that sums the explorers' SearchCounters
+  /// blocks; workers never block or synchronize for it.
   double ProgressIntervalSeconds = 0;
   /// Cooperative wall-clock budget: after this many seconds the run stop
   /// flag is raised, workers drain, and partial results (stats, reports,
@@ -155,38 +155,56 @@ struct SearchOptions {
   std::vector<Diagnostic> validate() const;
 };
 
-/// State shared between the workers of a ParallelExplorer run: the global
-/// MaxRuns/MaxStates budgets and the StopOnFirstError stop flag keep their
-/// sequential meaning by living in atomics every worker consults.
-struct SharedSearchControl {
-  std::atomic<uint64_t> StatesVisited{0};
-  std::atomic<uint64_t> Runs{0};
-  std::atomic<bool> Stop{false};
-  // Observability counters, maintained with relaxed increments on the
-  // worker hot path and snapshotted (racily, by design) by the progress
-  // monitor; they steer nothing, so staleness is harmless.
+/// One explorer's live progress counters: the read side of `--progress`.
+/// Only the owning explorer writes its block, and only with relaxed stores
+/// of values it already holds in its SearchStats (no read-modify-write), so
+/// the per-state path never touches a cache line another core writes. The
+/// monitor thread sums the blocks of the seeder and every worker (taking
+/// the max of MaxDepth); its reads are racy by design but atomic, so a
+/// progress line is a slightly stale, never torn, view.
+struct alignas(64) SearchCounters {
+  std::atomic<uint64_t> States{0};
   std::atomic<uint64_t> Transitions{0};
-  /// Reports retained by any worker; duplicates are not yet deduplicated
-  /// here, so this may exceed the final merged report count.
+  std::atomic<uint64_t> Runs{0};
+  /// Reports retained by this explorer; duplicates across workers are not
+  /// yet deduplicated, so the sum may exceed the final merged count.
   std::atomic<uint64_t> Reports{0};
-  /// Deepest global state reached by any worker so far.
-  std::atomic<uint64_t> MaxDepthSeen{0};
-  // State-cache traffic (zero when caching is off); progress-only, like
-  // Transitions/Reports above.
+  /// Deepest fresh global state this explorer reached.
+  std::atomic<uint64_t> MaxDepth{0};
+  // State-cache traffic (zero when caching is off).
   std::atomic<uint64_t> CacheHits{0};
   std::atomic<uint64_t> CacheInserts{0};
   std::atomic<uint64_t> CacheSaturated{0};
 
-  void resetCounters() {
+  void reset() {
+    for (std::atomic<uint64_t> *C :
+         {&States, &Transitions, &Runs, &Reports, &MaxDepth, &CacheHits,
+          &CacheInserts, &CacheSaturated})
+      C->store(0, std::memory_order_relaxed);
+  }
+};
+static_assert(sizeof(SearchCounters) == 64,
+              "one explorer's counters must fill exactly one cache line");
+
+/// The only memory the explorers of one run write in common: the stop flag
+/// and the global MaxStates/MaxRuns budget counters. Progress counters are
+/// not here; they are worker-owned (SearchCounters).
+struct SharedSearchControl {
+  /// Raised by StopOnFirstError, an exhausted budget, the time budget or
+  /// SIGINT. Every explorer reads it at every replay step and it is
+  /// written a handful of times per run, so it sits alone on its cache
+  /// line and stays shared in every core's cache.
+  alignas(64) std::atomic<bool> Stop{false};
+  /// Global budget counters, bumped only while MaxStates (resp. MaxRuns)
+  /// is set, so an unbudgeted run never writes them. A worker counts
+  /// before it checks, so a budget overshoots by at most one per worker.
+  alignas(64) std::atomic<uint64_t> StatesVisited{0};
+  std::atomic<uint64_t> Runs{0};
+
+  void reset() {
+    Stop.store(false);
     StatesVisited.store(0);
     Runs.store(0);
-    Stop.store(false);
-    Transitions.store(0);
-    Reports.store(0);
-    MaxDepthSeen.store(0);
-    CacheHits.store(0);
-    CacheInserts.store(0);
-    CacheSaturated.store(0);
   }
 };
 
@@ -374,6 +392,10 @@ private:
                            const std::vector<int> &Sleep,
                            const std::vector<int> &SleepObjs,
                            std::vector<int> &Out);
+  /// Counts one finished runOnce() path in Stats and the live block.
+  /// Returns true when it exhausts the MaxRuns budget (global across the
+  /// run's explorers when Shared is attached).
+  bool countRun();
   /// Copies the allocator counters (arena bytes, pool misses) into Stats.
   /// Called at the end of run() and by ParallelExplorer after each worker
   /// finishes.
@@ -437,6 +459,9 @@ private:
   /// increasing Cursor). Empty when CheckpointInterval is 0.
   std::vector<Checkpoint> Ckpts;
   SearchStats Stats;
+  /// The live mirror of Stats that the progress monitor reads; written by
+  /// this explorer only.
+  SearchCounters Live;
   std::vector<ErrorReport> Reports;
   /// Visited-state fingerprint cache consulted at fresh arrivals. Either
   /// owned (sequential caching: run() builds a private table) or attached
@@ -476,7 +501,9 @@ private:
   /// The frontier node itself is left uncounted for its future owner.
   std::vector<std::vector<ReplayStep>> *FrontierSink = nullptr;
   size_t FrontierDepth = 0;
-  /// Shared budgets/stop flag when part of a parallel run.
+  /// Shared budgets/stop flag, attached by ParallelExplorer (for a
+  /// sequential run too, so the monitor can stop it). Null for an
+  /// Explorer driven directly, whose budgets count in Stats alone.
   SharedSearchControl *Shared = nullptr;
 
   // Hot-path allocation recycling (support/Arena.h). All per-explorer and

@@ -69,7 +69,9 @@ public:
   bool contains(uint64_t Fp) const;
 
   uint64_t capacity() const { return SlotCount; }
-  /// Stored fingerprints (exact once concurrent inserts have quiesced).
+  /// Stored fingerprints (exact once concurrent inserts have quiesced). A
+  /// full scan of the slot array: the table keeps no fill counter, so an
+  /// insert costs one CAS on its slot and nothing else.
   uint64_t entries() const;
   unsigned shardCount() const { return Shards; }
 
@@ -99,12 +101,6 @@ private:
   /// Probes before giving up; bounds worst-case insert cost and defines
   /// the saturation point of a nearly-full shard.
   uint64_t ProbeLimit = 0;
-  /// Per-shard entry counters, relaxed; padded to a cache line so workers
-  /// inserting into different shards do not false-share.
-  struct alignas(64) ShardCount {
-    std::atomic<uint64_t> N{0};
-  };
-  std::unique_ptr<ShardCount[]> Fill;
 };
 
 } // namespace closer

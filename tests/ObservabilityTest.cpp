@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "closing/Pipeline.h"
 #include "explorer/Observability.h"
 #include "explorer/Replay.h"
@@ -254,6 +255,68 @@ TEST(ObservabilityTest, ProgressLinesAreWellFormed) {
           << "missing '" << Key << "' in: " << Line;
   }
   EXPECT_GE(Lines, 2u) << Err;
+}
+
+/// The `progress:` lines of a run's stderr.
+std::vector<std::string> progressLines(const std::string &Err) {
+  std::vector<std::string> Out;
+  std::istringstream In(Err);
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("progress:", 0) == 0)
+      Out.push_back(Line);
+  return Out;
+}
+
+/// The value of counter \p Key (e.g. " runs=") on a progress line.
+uint64_t progressField(const std::string &Line, const std::string &Key) {
+  size_t At = Line.find(Key);
+  EXPECT_NE(At, std::string::npos) << "missing '" << Key << "' in: " << Line;
+  if (At == std::string::npos)
+    return 0;
+  return std::stoull(Line.substr(At + Key.size()));
+}
+
+TEST(ObservabilityTest, SequentialProgressCountsRuns) {
+  // A sequential run counts its paths in the same live counter block the
+  // monitor reads for parallel workers, so `runs=` moves at --jobs 1 too.
+  std::string Src = tempPath("_seqprogress.mc");
+  writeFile(Src, semGridSource(400));
+  std::string Cmd = std::string(CLOSER_BIN) + " explore " + Src +
+                    " --no-por --time-budget 0.5 --progress=0.2" +
+                    " 2>&1 >/dev/null";
+  std::string Err = runCommand(Cmd);
+  std::remove(Src.c_str());
+
+  std::vector<std::string> Lines = progressLines(Err);
+  ASSERT_FALSE(Lines.empty()) << Err;
+  EXPECT_GT(progressField(Lines.back(), " runs="), 0u) << Lines.back();
+}
+
+TEST(ObservabilityTest, CachedParallelProgressIsMonotone) {
+  // Every progress line sums the seeder's and the workers' counter blocks;
+  // each block only grows, so the sums never decrease between lines.
+  std::string Src = tempPath("_cachedprogress.mc");
+  // 4M states overflow the default 2^20-slot cache, and a saturated cache
+  // stops pruning, so the run lasts its whole time budget.
+  writeFile(Src, semGridSource(2000));
+  std::string Cmd = std::string(CLOSER_BIN) + " explore " + Src +
+                    " --no-por --depth 100000 --jobs 4 --state-cache" +
+                    " --progress=0.1 --time-budget 0.6 2>&1 >/dev/null";
+  std::string Err = runCommand(Cmd);
+  std::remove(Src.c_str());
+
+  std::vector<std::string> Lines = progressLines(Err);
+  ASSERT_GE(Lines.size(), 2u) << Err;
+  for (const char *Key : {" states=", " transitions=", " cache-inserts="}) {
+    uint64_t Last = 0;
+    for (const std::string &Line : Lines) {
+      uint64_t V = progressField(Line, Key);
+      EXPECT_GT(V, 0u) << Key << " in: " << Line;
+      EXPECT_GE(V, Last) << Key << " went backwards at: " << Line;
+      Last = V;
+    }
+  }
 }
 
 TEST(ObservabilityTest, TimeBudgetStopsWithResumablePrefixes) {

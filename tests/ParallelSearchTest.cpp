@@ -156,6 +156,45 @@ TEST(ParallelSearchTest, SharedStateBudgetStopsAllWorkers) {
   EXPECT_LE(Stats.StatesVisited, 50u + Opts.Jobs);
 }
 
+TEST(ParallelSearchTest, SharedRunBudgetStopsAllWorkers) {
+  auto Mod = mustCompile(randomOpenProgram(1003));
+  ASSERT_TRUE(Mod);
+  SearchOptions Opts;
+  Opts.MaxDepth = 12;
+  Opts.UsePersistentSets = false;
+  Opts.UseSleepSets = false;
+  Opts.Jobs = 4;
+  Opts.MaxRuns = 50;
+
+  SearchResult R = explore(*Mod, Opts);
+  EXPECT_FALSE(R.Stats.Completed);
+  // Like MaxStates: each worker counts its path in the shared budget
+  // before checking it, so the overshoot is at most one run per worker.
+  EXPECT_GE(R.Stats.Runs, 50u);
+  EXPECT_LE(R.Stats.Runs, 50u + Opts.Jobs);
+}
+
+TEST(ParallelSearchTest, ProgressMonitorReadsWorkerCounters) {
+  // The monitor thread sums every worker's counter block while the workers
+  // write them; under the Tsan build this pins that those reads are
+  // race-free. The grid's 160k states overflow the 2^12-slot cache, which
+  // then stops pruning, so the time budget is what ends the run.
+  auto Mod = mustCompile(semGridSource(400));
+  ASSERT_TRUE(Mod);
+  SearchOptions Opts;
+  Opts.MaxDepth = 100000;
+  Opts.UsePersistentSets = false;
+  Opts.StateCacheBits = 12;
+  Opts.Jobs = 4;
+  Opts.ProgressIntervalSeconds = 0.01;
+  Opts.TimeBudgetSeconds = 0.2;
+
+  SearchResult R = explore(*Mod, Opts);
+  EXPECT_TRUE(R.Stats.Interrupted);
+  EXPECT_GT(R.Stats.StatesVisited, 0u);
+  EXPECT_GT(R.Stats.CacheInserts, 0u);
+}
+
 TEST(ParallelSearchTest, StopOnFirstErrorStopsParallelRun) {
   std::string Source = readExample("lock_order_bug.mc");
   auto Mod = mustCompile(Source);

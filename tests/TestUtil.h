@@ -81,6 +81,20 @@ process main = q(env);
 )";
 }
 
+/// Two processes looping \p Iters times over wait/signal on one shared
+/// semaphore: Iters^2 distinct states, each reachable along exponentially
+/// many interleavings. Uncached (and without POR) the search tree is
+/// exponential in Iters, so a small grid keeps any budgeted run busy.
+inline std::string semGridSource(int Iters) {
+  std::string S = "sem s(2);\n";
+  for (const char *P : {"a", "b"})
+    S += "proc " + std::string(P) + "() {\n  var k;\n  for (k = 0; k < " +
+         std::to_string(Iters) +
+         "; k = k + 1) {\n    sem_wait(s);\n    sem_signal(s);\n  }\n}\n";
+  S += "process pa = a();\nprocess pb = b();\n";
+  return S;
+}
+
 } // namespace closer
 
 #endif // CLOSER_TESTS_TESTUTIL_H
