@@ -28,7 +28,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// FNV-1a, the same mixing the runtime's state hasher uses.
+/// FNV-1a over bytes. The entry keys are an on-disk format: changing this
+/// mix orphans every cache directory already written.
 struct Fnv1a {
   uint64_t H = 0xcbf29ce484222325ull;
   void mix(const std::string &S) {

@@ -21,7 +21,11 @@
 ///    bytes each). When a shard's probe window is full the insert reports
 ///    Saturated and the caller keeps searching without pruning — a sound
 ///    over-approximation (states may be re-explored, never skipped), the
-///    standard hashing-ablation compromise from VeriSoft-era tools.
+///    standard hashing-ablation compromise from VeriSoft-era tools;
+///  * a table of 2 MiB or more is one 2 MiB-aligned anonymous mapping
+///    marked for transparent huge pages (Linux), so a random probe costs a
+///    cache miss but rarely a TLB miss. Nothing zeroes it: the kernel's
+///    fresh pages already read as empty slots.
 ///
 /// All atomics are relaxed: a slot's value is the entire payload, so no
 /// other memory needs to be published alongside it. The worst a racing
@@ -36,7 +40,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace closer {
 
@@ -54,8 +57,9 @@ public:
 
   /// Builds a table of 2^Bits slots. Bits outside [MinBits, MaxBits] are
   /// clamped (SearchOptions::validate() rejects them before a CLI run gets
-  /// here).
+  /// here). Throws std::bad_alloc when the table cannot be allocated.
   explicit StateCache(unsigned Bits);
+  ~StateCache();
 
   StateCache(const StateCache &) = delete;
   StateCache &operator=(const StateCache &) = delete;
@@ -92,7 +96,13 @@ private:
     return K ? K : 0x9e3779b97f4a7c15ull;
   }
 
-  std::unique_ptr<std::atomic<uint64_t>[]> Slots;
+  /// Accessed only through std::atomic_ref: the array is plain zeroed
+  /// memory from the allocator or the kernel, never constructed.
+  std::atomic_ref<uint64_t> slot(uint64_t I) const {
+    return std::atomic_ref<uint64_t>(Slots[I]);
+  }
+
+  uint64_t *Slots = nullptr;
   uint64_t SlotCount = 0;
   /// Number of shards (power of two) and slots per shard.
   unsigned Shards = 1;

@@ -9,6 +9,7 @@
 
 #include "runtime/Arith.h"
 
+#include <bit>
 #include <cassert>
 
 using namespace closer;
@@ -83,19 +84,19 @@ void System::cacheExprTree(int ProcIdx, const Expr *E) {
 }
 
 void System::buildResolutionCaches() {
+  CommIdx.resize(Mod.Procs.size());
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
     int ProcIdx = static_cast<int>(P);
+    CommIdx[P].assign(Mod.Procs[P].Nodes.size(), -1);
     for (const CfgNode &Node : Mod.Procs[P].Nodes) {
       cacheExprTree(ProcIdx, Node.Target.get());
       cacheExprTree(ProcIdx, Node.Value.get());
       for (const ExprPtr &Arg : Node.Args)
         cacheExprTree(ProcIdx, Arg.get());
       if (Node.Kind == CfgNodeKind::Call &&
-          builtinInfo(Node.Builtin).TakesObject && !Node.Args.empty()) {
-        int Obj = Mod.commIndex(Node.Args[0]->Name);
-        if (Obj >= 0)
-          CommIdxCache.emplace(&Node, Obj);
-      }
+          builtinInfo(Node.Builtin).TakesObject && !Node.Args.empty())
+        CommIdx[P][&Node - Mod.Procs[P].Nodes.data()] =
+            Mod.commIndex(Node.Args[0]->Name);
     }
   }
 }
@@ -916,10 +917,9 @@ int System::currentVisibleObject(int P) const {
   const ProcessRT &Proc = Processes[P];
   if (Proc.Status != ProcStatus::AtVisible)
     return -1;
-  const CfgNode &Node = currentNode(Proc);
-  if (!builtinInfo(Node.Builtin).TakesObject)
+  if (!builtinInfo(currentNode(Proc).Builtin).TakesObject)
     return -1;
-  return commOf(Node);
+  return commOf(Proc);
 }
 
 BuiltinKind System::currentVisibleOp(int P) const {
@@ -936,16 +936,16 @@ bool System::processEnabled(int P) const {
   const CfgNode &Node = currentNode(Proc);
   switch (Node.Builtin) {
   case BuiltinKind::Send: {
-    int Obj = commOf(Node);
+    int Obj = commOf(Proc);
     return static_cast<int64_t>(Comms[Obj].Items.size()) <
            Mod.Comms[Obj].Param;
   }
   case BuiltinKind::Recv: {
-    int Obj = commOf(Node);
+    int Obj = commOf(Proc);
     return !Comms[Obj].Items.empty();
   }
   case BuiltinKind::SemWait: {
-    int Obj = commOf(Node);
+    int Obj = commOf(Proc);
     return Comms[Obj].Count > 0;
   }
   case BuiltinKind::SemSignal:
@@ -1001,7 +1001,7 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
 
   switch (Node.Builtin) {
   case BuiltinKind::Send: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     Value V = eval(P, Node.Args[1].get());
     if (PendingError)
       break;
@@ -1011,7 +1011,7 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
     break;
   }
   case BuiltinKind::Recv: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     assert(!Comms[Obj].Items.empty() && "recv on empty channel");
     Value V = Comms[Obj].Items.front();
     Comms[Obj].Items.pop_front();
@@ -1022,18 +1022,18 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
     break;
   }
   case BuiltinKind::SemWait: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     assert(Comms[Obj].Count > 0 && "wait on zero semaphore");
     --Comms[Obj].Count;
     break;
   }
   case BuiltinKind::SemSignal: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     ++Comms[Obj].Count;
     break;
   }
   case BuiltinKind::SharedWrite: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     Value V = eval(P, Node.Args[1].get());
     if (PendingError)
       break;
@@ -1043,7 +1043,7 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
     break;
   }
   case BuiltinKind::SharedRead: {
-    int Obj = commOf(Node);
+    int Obj = commOf(P);
     Value V = Comms[Obj].Shared;
     if (Node.Target)
       store(P, Node.Target.get(), V);
@@ -1124,13 +1124,15 @@ void System::frameStackInto(int P,
 
 namespace {
 
-struct Fnv1a {
-  uint64_t H = 1469598103934665603ull;
-  void mix(uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xff;
-      H *= 1099511628211ull;
-    }
+/// The state hash, one 64-bit word per step: for a fixed state H the step
+/// is a bijection of the word (odd multiplier), for a fixed word a
+/// bijection of H (xor, rotate, odd multiplier), and the rotate-multiply
+/// makes the result depend on word order. StateCache::key() finalizes it.
+struct StateHasher {
+  uint64_t H = 0x9e3779b97f4a7c15ull;
+  void mix(uint64_t W) {
+    H ^= W * 0x87c37b91114253d5ull;
+    H = std::rotl(H, 27) * 0x4cf5ad432745937full;
   }
   void mixValue(const Value &V) {
     mix(static_cast<uint64_t>(V.kind()));
@@ -1155,26 +1157,23 @@ struct Fnv1a {
 } // namespace
 
 uint64_t System::fingerprint() const {
-  Fnv1a H;
-  for (const ProcessRT &P : Processes) {
-    H.mix(static_cast<uint64_t>(P.Status));
-    for (const Slot &S : P.Globals) {
+  StateHasher H;
+  auto MixSlots = [&H](const std::vector<Slot> &Slots) {
+    for (const Slot &S : Slots) {
       if (S.IsArray)
         for (const Value &V : S.Elems)
           H.mixValue(V);
       else
         H.mixValue(S.Scalar);
     }
+  };
+  for (const ProcessRT &P : Processes) {
+    H.mix(static_cast<uint64_t>(P.Status));
+    MixSlots(P.Globals);
     for (const Frame &F : P.Frames) {
       H.mix(static_cast<uint64_t>(F.ProcIdx));
       H.mix(F.PC);
-      for (const Slot &S : F.Slots) {
-        if (S.IsArray)
-          for (const Value &V : S.Elems)
-            H.mixValue(V);
-        else
-          H.mixValue(S.Scalar);
-      }
+      MixSlots(F.Slots);
     }
   }
   for (const CommState &C : Comms) {

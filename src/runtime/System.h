@@ -272,9 +272,9 @@ public:
   /// hot-path form of frameStack()).
   void frameStackInto(int P, std::vector<std::pair<int, NodeId>> &Out) const;
 
-  /// 64-bit FNV-1a fingerprint of the full global state (process control
-  /// points, stores, communication objects). Used by the state-hashing
-  /// ablation.
+  /// 64-bit fingerprint of the full global state (process control points,
+  /// stores, communication objects), mixed one word at a time. The state
+  /// cache's key and the identity of error reports under caching.
   uint64_t fingerprint() const;
 
   const Module &module() const { return Mod; }
@@ -337,16 +337,15 @@ private:
   }
 
   // Steady-state interpretation must not hash strings: variable references
-  // and communication-object operands are resolved once, at construction,
-  // into pointer-keyed caches (an Expr always executes with its owning
-  // procedure's frame on top, so the resolution is unambiguous).
+  // and communication-object operands are resolved once, at construction
+  // (an Expr always executes with its owning procedure's frame on top, so
+  // the resolution is unambiguous).
   void buildResolutionCaches();
   void cacheExprTree(int ProcIdx, const Expr *E);
-  /// Communication-object index of a visible Call node (-1 if unknown).
-  int commOf(const CfgNode &Node) const {
-    auto It = CommIdxCache.find(&Node);
-    return It != CommIdxCache.end() ? It->second
-                                    : Mod.commIndex(Node.Args[0]->Name);
+  /// Communication-object index of \p P's current node (-1 if none).
+  int commOf(const ProcessRT &P) const {
+    const Frame &F = P.Frames.back();
+    return CommIdx[static_cast<size_t>(F.ProcIdx)][F.PC];
   }
 
   const Module &Mod;
@@ -355,8 +354,9 @@ private:
   /// VarRef/ArrayIndex expression -> slot code: >= 0 is a frame slot index
   /// of the owning procedure's layout; < 0 encodes global slot ~code.
   std::unordered_map<const Expr *, int32_t> VarSlotCache;
-  /// Visible/comm Call node -> index into Mod.Comms.
-  std::unordered_map<const CfgNode *, int> CommIdxCache;
+  /// Per procedure, per node id: the index into Mod.Comms a visible/comm
+  /// Call node operates on, -1 elsewhere.
+  std::vector<std::vector<int>> CommIdx;
   std::vector<ProcessRT> Processes;
   std::vector<CommState> Comms; ///< Parallel to Mod.Comms.
   Trace EventTrace;

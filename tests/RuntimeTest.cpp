@@ -408,4 +408,34 @@ process m = main();
   EXPECT_NE(Sys.fingerprint(), F1);
 }
 
+TEST(RuntimeTest, FingerprintDependsOnChannelOrder) {
+  // The two sends commute except for the order they leave in the channel:
+  // [1,2] and [2,1] are the only difference between the two final states.
+  auto Mod = mustCompile(R"(
+chan c[2];
+
+proc put(v) {
+  send(c, v);
+}
+
+process a = put(1);
+process b = put(2);
+)");
+  System Sys(*Mod);
+  ZeroChoiceProvider Zero;
+  auto RunInOrder = [&](int First, int Second) {
+    Sys.reset(Zero);
+    EXPECT_TRUE(Sys.executeTransition(First, Zero).ok());
+    EXPECT_TRUE(Sys.executeTransition(Second, Zero).ok());
+    EXPECT_EQ(Sys.classify(), GlobalStateKind::Termination);
+    return Sys.fingerprint();
+  };
+  uint64_t OneTwo = RunInOrder(0, 1);
+  EXPECT_EQ(Sys.trace()[0].Payload, Value::makeInt(1));
+  uint64_t TwoOne = RunInOrder(1, 0);
+  EXPECT_EQ(Sys.trace()[0].Payload, Value::makeInt(2));
+  EXPECT_NE(OneTwo, TwoOne);
+  EXPECT_EQ(RunInOrder(0, 1), OneTwo);
+}
+
 } // namespace

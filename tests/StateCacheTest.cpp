@@ -7,7 +7,10 @@
 //
 // The concurrent fingerprint table and the cached-search contract:
 //  * StateCache insert/contains round-trips, exactly-once insertion under
-//    concurrency, and the bounded-memory saturation path;
+//    concurrency (also on a huge-page table), and the bounded-memory
+//    saturation path;
+//  * a cached sem grid inserts exactly its (2I+1)^2 distinct states, the
+//    check that the state fingerprint keeps distinct states apart;
 //  * explore() with --state-cache produces the same report set and the
 //    same tree-shaped statistics for any job count (the determinism
 //    contract of docs/ALGORITHM.md "Concurrent state caching");
@@ -128,6 +131,38 @@ TEST(StateCacheTest, ConcurrentInsertIsExactlyOnce) {
     T.join();
   EXPECT_EQ(TotalInserted.load(), Keys);
   EXPECT_EQ(Cache.entries(), Keys);
+}
+
+TEST(StateCacheTest, HugePageTableStartsEmptyAndInsertsExactlyOnce) {
+  // 2^19 slots = 4 MiB: big enough for the huge-page mapping. It is never
+  // zeroed by hand, so an empty table must come from the kernel's pages.
+  constexpr uint64_t Keys = 50000;
+  StateCache Cache(19);
+  ASSERT_EQ(Cache.capacity(), uint64_t{1} << 19);
+  EXPECT_EQ(Cache.entries(), 0u);
+  for (uint64_t I = 0; I <= Keys; I += 997)
+    EXPECT_FALSE(Cache.contains(I * 0x9e3779b97f4a7c15ull)) << I;
+
+  std::atomic<uint64_t> TotalInserted{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&Cache, &TotalInserted, T] {
+      uint64_t Mine = 0;
+      // Each thread walks the keys from a different start, so the threads
+      // race on every slot rather than in lock step.
+      for (uint64_t N = 0; N != Keys; ++N) {
+        uint64_t I = 1 + (N + T * (Keys / 4)) % Keys;
+        if (Cache.insert(I * 0x9e3779b97f4a7c15ull) ==
+            StateCache::Insert::Inserted)
+          ++Mine;
+      }
+      TotalInserted.fetch_add(Mine, std::memory_order_relaxed);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(TotalInserted.load(), Keys);
+  EXPECT_EQ(Cache.entries(), Keys);
+  EXPECT_TRUE(Cache.contains(0x9e3779b97f4a7c15ull));
 }
 
 // ---------------------------------------------------------------------------
@@ -257,6 +292,38 @@ TEST(StateCacheTest, SaturatedCacheStaysSoundAndTerminates) {
     EXPECT_GT(R.Stats.CacheSaturated, 0u) << Tag;
     EXPECT_GT(R.Stats.Deadlocks, 0u) << Tag;
     EXPECT_FALSE(R.Reports.empty()) << Tag;
+  }
+}
+
+TEST(StateCacheTest, SemGridInsertsEveryDistinctStateOnce) {
+  // Each process of the grid is at its loop head (counter 0..I) or holds
+  // the semaphore (counter 0..I-1): 2I+1 local states, (2I+1)^2 global
+  // ones. A complete cached run inserts exactly that many fingerprints. A
+  // weak state hash merges states, e.g. the mirror images (i,j) and (j,i)
+  // under a commutative mix, and shows up here as too few inserts.
+  for (int Iters : {4, 16, 64}) {
+    auto Mod = mustCompile(semGridSource(Iters));
+    ASSERT_TRUE(Mod) << Iters;
+    const uint64_t Expected = uint64_t(2 * Iters + 1) * (2 * Iters + 1);
+    for (ExecMode Exec : {ExecMode::Interp, ExecMode::Vm})
+      for (size_t Jobs : {size_t{1}, size_t{4}}) {
+        SearchOptions Opts;
+        Opts.MaxDepth = 4 * Iters + 8; // Every path ends within 4I steps.
+        Opts.UsePersistentSets = false;
+        Opts.UseSleepSets = false;
+        Opts.StateCacheBits = 18;
+        Opts.CheckpointInterval = 8;
+        Opts.Exec = Exec;
+        Opts.Jobs = Jobs;
+        SearchResult R = explore(*Mod, Opts);
+        std::string Tag = "I=" + std::to_string(Iters) + " jobs=" +
+                          std::to_string(Jobs) +
+                          (Exec == ExecMode::Vm ? " vm" : " interp");
+        ASSERT_TRUE(R.Stats.Completed) << Tag;
+        ASSERT_EQ(R.Stats.DepthLimitHits, 0u) << Tag;
+        ASSERT_EQ(R.Stats.CacheSaturated, 0u) << Tag;
+        EXPECT_EQ(R.Stats.CacheInserts, Expected) << Tag;
+      }
   }
 }
 

@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -522,7 +523,22 @@ int cmdExplore(const Args &A) {
 
   // explore() selects the backend (sequential, parallel, cached) from the
   // options; with the defaults it runs the plain sequential search.
-  SearchResult Result = explore(*ToExplore, Opts);
+  SearchResult Result;
+  try {
+    Result = explore(*ToExplore, Opts);
+  } catch (const std::bad_alloc &) {
+    // The state cache is the run's one big up-front allocation: name its
+    // size so the user knows which knob to turn.
+    std::fprintf(stderr, "error: out of memory exploring %s",
+                 A.Positional[0].c_str());
+    if (unsigned Bits = Opts.effectiveStateCacheBits())
+      std::fprintf(stderr,
+                   "; the state cache alone needs 2^%u slots (%llu MiB), "
+                   "try a smaller --state-cache=BITS",
+                   Bits, (8ull << Bits) >> 20);
+    std::fprintf(stderr, "\n");
+    return 1;
+  }
   const SearchStats &Stats = Result.Stats;
   std::signal(SIGINT, SIG_DFL);
 
