@@ -40,61 +40,40 @@ cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j
 (cd "$BUILD" && ctest --output-on-failure -j)
 
-echo "== tsan state-cache suite =="
-# Guard against the suite silently disappearing from discovery: require at
-# least one Tsan.StateCache* test to exist and pass (skipped only when the
-# whole tree is a Tsan build, where the plain suite already is tsan).
+# Re-runs one sanitizer suite explicitly (the full ctest pass above
+# includes it too). Guards against the suite silently disappearing from
+# discovery: at least one test must match the regex, or the gate fails.
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
-if (cd "$BUILD" && ctest -N -R 'Tsan\.StateCache' | grep 'Tsan\.StateCache' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Tsan\.StateCache')
-else
-  echo "warning: no Tsan.StateCache tests discovered (Tsan tree build?)" >&2
-fi
+sanitizer_gate() {
+  local title="$1" regex="$2"
+  echo "== $title =="
+  if ! (cd "$BUILD" && ctest -N -R "$regex" | grep -E "$regex" >/dev/null); then
+    echo "error: no tests matching '$regex' discovered" >&2
+    exit 1
+  fi
+  (cd "$BUILD" && ctest --output-on-failure -R "$regex")
+}
 
-echo "== tsan scheduler suite =="
+# The concurrent state cache under ThreadSanitizer.
+sanitizer_gate "tsan state-cache suite" 'Tsan\.StateCache'
 # The work-stealing scheduler layer (Chase–Lev deques, parking lot,
 # termination protocol) and the jobs x checkpoint x cache x exec
-# equivalence matrix, recompiled under ThreadSanitizer. Same
-# silent-disappearance guard as the state-cache gate above.
-if (cd "$BUILD" && ctest -N -R 'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
-    | grep 'Tsan\.' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure \
-    -R 'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)')
-else
-  echo "warning: no Tsan scheduler tests discovered (Tsan tree build?)" >&2
-fi
-
-echo "== asan pass-pipeline suite =="
-# Same silent-disappearance guard as the tsan gate above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.PassPipeline' | grep 'Asan\.PassPipeline' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Asan\.PassPipeline')
-else
-  echo "warning: no Asan.PassPipeline tests discovered (sanitizer tree build?)" >&2
-fi
-
-echo "== asan+ubsan vm differential suite =="
+# equivalence matrix under ThreadSanitizer.
+sanitizer_gate "tsan scheduler suite" \
+  'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)'
+# The module-replacement / in-place-mutation paths of the pass pipeline,
+# where a dangling cached-analysis pointer would surface.
+sanitizer_gate "asan pass-pipeline suite" 'Asan\.PassPipeline'
 # The bytecode dispatch loop and its checked-arithmetic handlers (div/mod
 # by zero, signed overflow) must run UB-free under instrumentation — this
 # is the enforcement of the "deterministic RuntimeError, never UB"
-# contract. Same silent-disappearance guard as above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.Vm' | grep 'Asan\.Vm' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Asan\.Vm')
-else
-  echo "warning: no Asan.Vm tests discovered (sanitizer tree build?)" >&2
-fi
-
-echo "== asan+ubsan incremental-cache suite =="
+# contract.
+sanitizer_gate "asan+ubsan vm differential suite" 'Asan\.Vm'
 # The analysis-cache suite (deserializing stale/garbled cache blobs into
 # analysis structures) and the domain-partition suite (multi-param erase
-# compaction) recompiled under Asan+UBSan. Same silent-disappearance guard
-# as above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.(AnalysisCache|BatchClose|DomainPartition)' \
-    | grep 'Asan\.' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure \
-    -R 'Asan\.(AnalysisCache|BatchClose|DomainPartition)')
-else
-  echo "warning: no Asan incremental-cache tests discovered (sanitizer tree build?)" >&2
-fi
+# compaction).
+sanitizer_gate "asan+ubsan incremental-cache suite" \
+  'Asan\.(AnalysisCache|BatchClose|DomainPartition)'
 
 echo "== artifact schema checks =="
 PY=python3

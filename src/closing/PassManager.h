@@ -15,9 +15,8 @@
 ///
 /// The context owns the module *and* an AnalysisManager, so a pipeline such
 /// as `partition → close` shares cached alias / define-use / taint results
-/// across passes instead of recomputing them per entry point — previously
-/// `closer partition | closer close` round-tripped through source text
-/// twice and re-ran every analysis from scratch each time.
+/// across passes instead of round-tripping through source text and
+/// recomputing them per entry point.
 ///
 /// Contracts passes rely on:
 ///

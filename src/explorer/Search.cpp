@@ -33,7 +33,6 @@ std::string SearchStats::str() const {
   Out += " runtime-errors=" + std::to_string(RuntimeErrors);
   Out += " depth-limit-hits=" + std::to_string(DepthLimitHits);
   Out += " sleep-prunes=" + std::to_string(SleepSetPrunes);
-  Out += " hash-prunes=" + std::to_string(HashPrunes);
   if (CacheInserts || CacheHits || CacheSaturated) {
     Out += " cache-hits=" + std::to_string(CacheHits);
     Out += " cache-inserts=" + std::to_string(CacheInserts);
@@ -537,7 +536,6 @@ bool Explorer::runOnce() {
         // merely passes through again.
         switch (Cache->insert(Sys.fingerprint())) {
         case StateCache::Insert::Present:
-          ++Stats.HashPrunes;
           ++Stats.CacheHits;
           Live.CacheHits.store(Stats.CacheHits, std::memory_order_relaxed);
           RecordLeafTrace();
@@ -726,8 +724,7 @@ SearchStats Explorer::run() {
   Reports.clear();
   if (Cache == OwnedCache.get()) {
     if (Options.stateCacheEnabled()) {
-      OwnedCache =
-          std::make_unique<StateCache>(Options.effectiveStateCacheBits());
+      OwnedCache = std::make_unique<StateCache>(Options.StateCacheBits);
       Cache = OwnedCache.get();
     } else {
       OwnedCache.reset();

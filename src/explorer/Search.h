@@ -76,16 +76,12 @@ struct SearchOptions {
   uint64_t MaxStates = 0;
   bool UsePersistentSets = true;
   bool UseSleepSets = true;
-  /// Ablation: store state fingerprints and prune revisits. Deprecated
-  /// spelling of StateCacheBits = StateCache::DefaultBits; kept so
-  /// existing callers (and the CLI's `--hash` alias) keep working.
-  bool UseStateHashing = false;
-  /// State caching: log2 of the fingerprint-cache slot count (0 = off
-  /// unless UseStateHashing asks for the default size). The cache is a
-  /// bounded concurrent table (explorer/StateCache.h) shared across all
-  /// workers, so `--state-cache` composes with `--jobs N`. Sleep sets are
-  /// disabled whenever caching is on: their path-dependent pruning is
-  /// unsound against a cross-path visited set (a slept-on state could be
+  /// State caching: log2 of the fingerprint-cache slot count (0 = off;
+  /// StateCache::DefaultBits is the CLI's bare `--state-cache` size). The
+  /// cache is a bounded concurrent table (explorer/StateCache.h) shared
+  /// across all workers, so `--state-cache` composes with `--jobs N`. Sleep
+  /// sets are disabled whenever caching is on: their path-dependent pruning
+  /// is unsound against a cross-path visited set (a slept-on state could be
   /// cache-pruned everywhere else and never get explored at all).
   unsigned StateCacheBits = 0;
   bool StopOnFirstError = false;
@@ -135,15 +131,7 @@ struct SearchOptions {
   std::shared_ptr<const vm::CompiledModule> VmCode;
   SystemOptions Runtime;
 
-  /// The fingerprint-cache size in effect: StateCacheBits if set, the
-  /// default size when the deprecated UseStateHashing flag asks for
-  /// caching, 0 when caching is off.
-  unsigned effectiveStateCacheBits() const {
-    if (StateCacheBits)
-      return StateCacheBits;
-    return UseStateHashing ? StateCache::DefaultBits : 0;
-  }
-  bool stateCacheEnabled() const { return effectiveStateCacheBits() != 0; }
+  bool stateCacheEnabled() const { return StateCacheBits != 0; }
 
   /// Centralized option validation: every constraint the explorers assume
   /// (previously scattered as ad-hoc checks across the CLI and the
@@ -227,9 +215,6 @@ struct SearchStats {
   uint64_t RuntimeErrors = 0;
   uint64_t DepthLimitHits = 0;
   uint64_t SleepSetPrunes = 0;
-  /// Arrivals pruned because the state's fingerprint was already cached.
-  /// Legacy name; always equal to CacheHits.
-  uint64_t HashPrunes = 0;
   /// State-cache traffic (all zero when caching is off). CacheHits counts
   /// pruned revisits, CacheInserts first-time stores, CacheSaturated fresh
   /// arrivals the full cache declined to store (searched anyway: the
@@ -313,7 +298,8 @@ struct SearchResult {
 /// combination `--state-cache --jobs N` (one concurrent fingerprint table
 /// shared by all workers). Normalizations applied (see
 /// SearchOptions::validate() for the corresponding warnings): sleep sets
-/// are disabled when caching is on; Jobs == 0 runs sequentially.
+/// are disabled when caching is on; Jobs == 0 runs one worker per hardware
+/// thread (the resolved count is recorded in SearchResult::Options).
 ///
 /// All tools and tests should call this instead of constructing Explorer /
 /// ParallelExplorer directly.

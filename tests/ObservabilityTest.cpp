@@ -57,7 +57,6 @@ TEST(ObservabilityTest, StatsJsonFieldForField) {
   S.RuntimeErrors = 37;
   S.DepthLimitHits = 41;
   S.SleepSetPrunes = 43;
-  S.HashPrunes = 47;
   S.CacheHits = 67;
   S.CacheInserts = 71;
   S.CacheSaturated = 73;
@@ -89,7 +88,6 @@ TEST(ObservabilityTest, StatsJsonFieldForField) {
   field("\"runtime_errors\": 37");
   field("\"depth_limit_hits\": 41");
   field("\"sleep_set_prunes\": 43");
-  field("\"hash_prunes\": 47");
   field("\"cache_hits\": 67");
   field("\"cache_inserts\": 71");
   field("\"cache_saturated\": 73");

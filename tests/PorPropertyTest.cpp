@@ -7,9 +7,9 @@
 //
 // The partial-order reduction must preserve deadlock detection ([God96]):
 // for randomly generated closed systems, the reduced search finds a
-// deadlock iff the full search does. Also cross-checks the state-hashing
-// ablation (which additionally preserves deadlock existence because
-// deadlock states are never pruned before classification).
+// deadlock iff the full search does. Also cross-checks the state cache
+// (which additionally preserves deadlock existence because deadlock
+// states are never pruned before classification).
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +33,7 @@ SearchStats explore(const Module &Mod, bool Persistent, bool Sleep,
   Opts.MaxRuns = 150000;
   Opts.UsePersistentSets = Persistent;
   Opts.UseSleepSets = Sleep;
-  Opts.UseStateHashing = Hash;
+  Opts.StateCacheBits = Hash ? StateCache::DefaultBits : 0;
   Explorer Ex(Mod, Opts);
   return Ex.run();
 }

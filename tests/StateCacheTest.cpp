@@ -263,7 +263,7 @@ TEST(StateCacheTest, ParallelCachedRunIsNotForcedSequential) {
   Opts.StateCacheBits = 18;
   SearchResult R = explore(*Mod, Opts);
   // Seeding pass + one entry per worker: the cached run really ran on the
-  // parallel backend (the old --hash behavior fell back to 1 entry).
+  // parallel backend, not a sequential fallback (1 entry).
   EXPECT_EQ(R.Workers.size(), 5u);
   EXPECT_TRUE(R.Stats.Completed);
   EXPECT_GT(R.Stats.CacheInserts, 0u);

@@ -55,12 +55,11 @@ void usage() {
       Runs the pass pipeline parse, sema, lower, verify, close by
       default. --partition inserts the section 7 input-domain
       partitioning as a pre-pass, so partition -> close runs in one
-      process over one module (this replaces the old two-step
-      `closer partition | closer close` source round-trip). --passes
-      takes a comma-separated module-pass list (partition, close,
-      dedup-toss, naive-close, interface, verify) replacing the default
-      tail. --verify-each re-verifies the module after every pass and
-      names the offending pass on failure. --print-after PASS dumps the
+      process over one module. --passes takes a comma-separated
+      module-pass list (partition, close, dedup-toss, naive-close,
+      interface, verify) replacing the default tail. --verify-each
+      re-verifies the module after every pass and names the offending
+      pass on failure. --print-after PASS dumps the
       module source to stderr after each run of PASS. --stats-json FILE
       writes a closer-close-stats-v1 artifact: per-pass wall times,
       analysis cache computed/reused counters and all transform stats.
@@ -99,7 +98,6 @@ void usage() {
       search keeps going without inserting (sound; reported as
       cache-saturated). Sleep sets are disabled under caching (pruning
       by a path-local sleep set is unsound against a cross-path cache).
-      --hash is a deprecated alias for --state-cache.
       --stats-json FILE writes the full run statistics (per-worker
       breakdowns, wall clock, reports, resume prefixes) as JSON.
       --progress[=SECS] prints a progress line to stderr every SECS
@@ -109,10 +107,6 @@ void usage() {
       prefixes for the abandoned subtrees.
   closer naive <file.mc> -D <n>
       Close with the naive explicit environment over domain [0,n]; print.
-  closer partition <file.mc> [--max-reps N]
-      Deprecated alias for `closer close --partition`: simplify
-      range-classified inputs (section 7 analysis), close the rest,
-      print the result.
   closer replay <file.mc> "<choices>" [--open] [--env-domain N]
       Re-execute a recorded choice sequence (the `replay:` line of an
       explore report) and print the resulting trace.
@@ -141,7 +135,6 @@ const FlagSpec &closerFlagSpec() {
       {"--partition", FlagArity::Bool},
       {"--verify-each", FlagArity::Bool},
       {"--no-por", FlagArity::Bool},
-      {"--hash", FlagArity::Bool},
       {"--stop-on-error", FlagArity::Bool},
       {"--open", FlagArity::Bool},
       {"--bug", FlagArity::Bool},
@@ -302,13 +295,13 @@ bool reportCloseResult(const CompileResult &R) {
   return true;
 }
 
-int cmdClose(const Args &A, bool ForcePartition = false) {
+int cmdClose(const Args &A) {
   if (A.Positional.empty()) {
     usage();
     return 1;
   }
   PipelineOptions Opts = pipelineOptionsFromArgs(A);
-  if (ForcePartition || A.has("--partition")) {
+  if (A.has("--partition")) {
     if (Opts.Passes.empty())
       Opts.Passes = {"partition", "close"};
     else if (std::find(Opts.Passes.begin(), Opts.Passes.end(),
@@ -461,11 +454,6 @@ int cmdExplore(const Args &A) {
                                    : StateCache::DefaultBits;
     Opts.StateCacheBits = Bits > 0 ? static_cast<unsigned>(Bits) : 0;
   }
-  if (A.has("--hash")) {
-    std::fprintf(stderr, "warning: --hash is deprecated; use "
-                         "--state-cache[=BITS]\n");
-    Opts.UseStateHashing = true;
-  }
   long Jobs = A.intOf("--jobs", 1);
   if (Jobs < 0) {
     std::fprintf(stderr,
@@ -531,7 +519,7 @@ int cmdExplore(const Args &A) {
     // size so the user knows which knob to turn.
     std::fprintf(stderr, "error: out of memory exploring %s",
                  A.Positional[0].c_str());
-    if (unsigned Bits = Opts.effectiveStateCacheBits())
+    if (unsigned Bits = Opts.StateCacheBits)
       std::fprintf(stderr,
                    "; the state cache alone needs 2^%u slots (%llu MiB), "
                    "try a smaller --state-cache=BITS",
@@ -712,8 +700,6 @@ int main(int argc, char **argv) {
     return cmdExplore(A);
   if (Cmd == "naive")
     return cmdNaive(A);
-  if (Cmd == "partition") // Deprecated alias for `close --partition`.
-    return cmdClose(A, /*ForcePartition=*/true);
   if (Cmd == "replay")
     return cmdReplay(A);
   if (Cmd == "interface")
