@@ -112,8 +112,7 @@ SearchStats explore(const Module &Mod) {
   Opts.MaxDepth = 20;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return explore(Mod, Opts).Stats;
 }
 
 void BM_PreciseTaint(benchmark::State &State) {

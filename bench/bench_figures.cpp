@@ -117,8 +117,7 @@ void BM_ExploreClosedFigure(benchmark::State &State) {
   for (auto _ : State) {
     SearchOptions Opts;
     Opts.MaxDepth = 25;
-    Explorer Ex(*R.Closed, Opts);
-    SearchStats Stats = Ex.run();
+    SearchStats Stats = explore(*R.Closed, Opts).Stats;
     Runs = Stats.Runs;
   }
   State.counters["paths"] = static_cast<double>(Runs);

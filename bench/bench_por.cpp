@@ -35,8 +35,7 @@ SearchStats explore(const Module &Mod, bool Persistent, bool Sleep,
   Opts.MaxRuns = MaxRuns;
   Opts.UsePersistentSets = Persistent;
   Opts.UseSleepSets = Sleep;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return explore(Mod, Opts).Stats;
 }
 
 void reportRow(const char *Workload, const char *Mode,

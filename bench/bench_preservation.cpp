@@ -56,8 +56,7 @@ SearchStats explore(const Module &Mod, uint64_t MaxRuns) {
   Opts.MaxRuns = MaxRuns;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return explore(Mod, Opts).Stats;
 }
 
 CorpusResult runCorpus(unsigned Seeds, int64_t Domain) {

@@ -62,8 +62,7 @@ void BM_ExploreClosedSwitchApp(benchmark::State &State) {
     SearchOptions Opts;
     Opts.MaxDepth = 30;
     Opts.MaxRuns = 20000;
-    Explorer Ex(*R.Closed, Opts);
-    Stats = Ex.run();
+    Stats = explore(*R.Closed, Opts).Stats;
   }
   State.counters["lines"] = Config.NumLines;
   State.counters["states"] = static_cast<double>(Stats.StatesVisited);
@@ -113,8 +112,7 @@ int main(int argc, char **argv) {
   SearchOptions Opts;
   Opts.MaxDepth = 60;
   Opts.StopOnFirstError = true;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.Closed, Opts).Stats;
   std::printf("search: %s\n", Stats.str().c_str());
   std::printf("defect %s\n\n", Stats.Deadlocks ? "FOUND (deadlock trace "
                                                  "recorded)"

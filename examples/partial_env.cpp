@@ -91,15 +91,15 @@ process reader = card_reader();
 
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
   std::printf("exploration: %s\n", Stats.str().c_str());
 
   if (Stats.AssertionViolations == 0)
     std::printf("\nthe active-card invariant holds for every gateway "
                 "behavior,\ngiven the stubbed card-reader protocol.\n");
   else
-    std::printf("\nfinding:\n%s", Ex.reports()[0].str().c_str());
+    std::printf("\nfinding:\n%s", Res.Reports[0].str().c_str());
 
   // Contrast: with a fully most-general card reader (no stub) the
   // VS_assert(active == 1) would be violated by a remove-before-insert
@@ -137,15 +137,15 @@ process term = terminal();
     std::printf("closing failed:\n%s\n", R2.Diags.str().c_str());
     return 1;
   }
-  Explorer Ex2(*R2.Closed, Opts);
-  SearchStats Stats2 = Ex2.run();
+  SearchResult Res2 = explore(*R2.Closed, Opts);
+  SearchStats Stats2 = Res2.Stats;
   std::printf("\n=== same system, fully most-general environment ===\n");
   std::printf("exploration: %s\n", Stats2.str().c_str());
   std::printf("the unconstrained environment can remove a card that was "
               "never inserted —\nthe violation below is *possible* but the "
               "developer may deem it unrealistic;\nthat is exactly why the "
               "paper recommends partial manual stubs (§1, §3).\n");
-  if (!Ex2.reports().empty())
-    std::printf("\nfinding:\n%s", Ex2.reports()[0].str().c_str());
+  if (!Res2.Reports.empty())
+    std::printf("\nfinding:\n%s", Res2.Reports[0].str().c_str());
   return 0;
 }

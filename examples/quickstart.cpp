@@ -87,11 +87,11 @@ process mon = monitor();
   // Step 4: systematic state-space exploration.
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
 
   std::printf("=== exploration ===\n%s\n", Stats.str().c_str());
-  for (const ErrorReport &Rep : Ex.reports())
+  for (const ErrorReport &Rep : Res.Reports)
     std::printf("\nreport:\n%s", Rep.str().c_str());
 
   std::printf("\nThe closed system covers every behavior of the open system "

@@ -44,12 +44,12 @@ static void analyze(const char *Label, const SwitchAppConfig &Config,
   Opts.MaxDepth = Depth;
   Opts.MaxRuns = 200000;
   Opts.StopOnFirstError = StopOnFirstError;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
   std::printf("exploration: %s\n", Stats.str().c_str());
 
   if (Stats.Deadlocks || Stats.AssertionViolations) {
-    std::printf("first finding:\n%s", Ex.reports()[0].str().c_str());
+    std::printf("first finding:\n%s", Res.Reports[0].str().c_str());
   } else if (Stats.Completed) {
     std::printf("no deadlocks or assertion violations up to depth %zu "
                 "(exhaustive)\n",

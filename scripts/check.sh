@@ -28,30 +28,69 @@
 #     computed/reused counters (cold close computes each analysis exactly
 #     once; partition -> close shows genuine reuse) and the closing stats.
 #
+# Every gate runs to the end even when an earlier one fails; the script
+# then names each failed gate and exits 1.
+#
 # Usage: scripts/check.sh [build-dir]   (default: build)
 
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-echo "== tier-1: configure + build + ctest =="
-cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j
+# Each gate body runs in its own `set -e` subshell between gate and
+# gate_done: a failing command fails that gate only, and the gates after
+# it still run.
+FAILED=()
+CURRENT=""
+gate() {
+  CURRENT="$1"
+  echo "== $1 =="
+}
+gate_done() {
+  local rc=$?
+  if [ "$rc" != 0 ]; then
+    echo "FAILED: $CURRENT (exit $rc)" >&2
+    FAILED+=("$CURRENT")
+  fi
+}
+# The verdict: every failed gate by name, and exit 1 if there was one.
+finish() {
+  if [ "${#FAILED[@]}" != 0 ]; then
+    echo "== ${#FAILED[@]} gate(s) failed ==" >&2
+    printf '  %s\n' "${FAILED[@]}" >&2
+    exit 1
+  fi
+  echo "== all checks passed =="
+  exit 0
+}
+
+echo "== tier-1: configure + build =="
+# Nothing below can run without a build, so this step alone is fatal.
+if ! cmake -B "$BUILD" -S . >/dev/null || ! cmake --build "$BUILD" -j; then
+  echo "FAILED: configure + build" >&2
+  exit 1
+fi
+gate "tier-1: ctest"
 (cd "$BUILD" && ctest --output-on-failure -j)
+gate_done
 
 # Re-runs one sanitizer suite explicitly (the full ctest pass above
 # includes it too). Guards against the suite silently disappearing from
 # discovery: at least one test must match the regex, or the gate fails.
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
 sanitizer_gate() {
-  local title="$1" regex="$2"
-  echo "== $title =="
-  if ! (cd "$BUILD" && ctest -N -R "$regex" | grep -E "$regex" >/dev/null); then
-    echo "error: no tests matching '$regex' discovered" >&2
-    exit 1
-  fi
-  (cd "$BUILD" && ctest --output-on-failure -R "$regex")
+  local regex="$2"
+  gate "$1"
+  (
+    set -e
+    if ! (cd "$BUILD" && ctest -N -R "$regex" | grep -E "$regex" >/dev/null); then
+      echo "error: no tests matching '$regex' discovered" >&2
+      exit 1
+    fi
+    cd "$BUILD" && ctest --output-on-failure -R "$regex"
+  )
+  gate_done
 }
 
 # The concurrent state cache under ThreadSanitizer.
@@ -75,12 +114,11 @@ sanitizer_gate "asan+ubsan vm differential suite" 'Asan\.Vm'
 sanitizer_gate "asan+ubsan incremental-cache suite" \
   'Asan\.(AnalysisCache|BatchClose|DomainPartition)'
 
-echo "== artifact schema checks =="
 PY=python3
 command -v "$PY" >/dev/null || PY=python
 if ! command -v "$PY" >/dev/null; then
   echo "warning: no python available; skipping JSON validation" >&2
-  exit 0
+  finish
 fi
 
 validate_bench() {
@@ -106,14 +144,18 @@ print(f"ok: {path} ({len(data)} records)")
 EOF
 }
 
+gate "artifact schema checks"
+(
+set -e
 found=0
 while IFS= read -r bench_json; do
   found=1
   validate_bench "$bench_json"
 done < <(find "$BUILD" -maxdepth 2 -name 'BENCH_*.json' | sort)
 [ "$found" = 1 ] || echo "note: no BENCH_*.json artifacts in $BUILD (benches not run)"
+)
+gate_done
 
-echo "== closing linearity gate (bench_scaling) =="
 # Gates the `close_ns_per_unit` series (alias + defuse + taint + close, ns
 # per CFG-node+du-arc — the closing pipeline proper; frontend and emission
 # excluded). Two assertions, sized from measured behaviour on this series
@@ -125,6 +167,9 @@ echo "== closing linearity gate (bench_scaling) =="
 #       the series only because a ~500-stmt module fits in cache between
 #       phases (pure parsing shows the same ~1.8x hierarchy step), so the
 #       envelope bounds that constant factor without gating the machine.
+gate "closing linearity gate (bench_scaling)"
+(
+set -e
 BENCH_SCALING="$BUILD/bench/bench_scaling"
 if [ -x "$BENCH_SCALING" ]; then
   (cd "$BUILD/bench" && ./bench_scaling --json-only >/dev/null)
@@ -149,8 +194,9 @@ EOF
 else
   echo "warning: $BENCH_SCALING not built; skipping linearity gate" >&2
 fi
+)
+gate_done
 
-echo "== work-stealing scheduler gate (bench_statespace --steal-only) =="
 # The steal_grid series: cached grid at j=1 and j=min(nproc,4). The bench
 # binary itself enforces j1-vs-jN tree identity and the zero-steady-state-
 # allocation gate (pool_fresh * 50 < states) — a nonzero exit here is one
@@ -162,6 +208,9 @@ echo "== work-stealing scheduler gate (bench_statespace --steal-only) =="
 #       0.55 x jobs x j1 — near-linear scaling, with headroom for the
 #       shared fingerprint table. A single-core box runs the jN row for
 #       the counter plumbing but skips the speedup assertion.
+gate "work-stealing scheduler gate (bench_statespace --steal-only)"
+(
+set -e
 BENCH_SS="$BUILD/bench/bench_statespace"
 if [ -x "$BENCH_SS" ]; then
   (cd "$BUILD/bench" && ./bench_statespace --steal-only >/dev/null)
@@ -194,11 +243,16 @@ EOF
 else
   echo "warning: $BENCH_SS not built; skipping scheduler gate" >&2
 fi
+)
+gate_done
 
-echo "== explore --stats-json smoke =="
 CLOSER="$BUILD/tools/closer"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+
+gate "explore --stats-json smoke"
+(
+set -e
 "$CLOSER" gen-switchapp --lines 3 --trunks 2 > "$TMP/switchapp.mc"
 # Exit 2 means the search reported errors - fine for a smoke run.
 rc=0
@@ -229,8 +283,12 @@ if art["interrupted"]:
 print(f"ok: {path} (interrupted={art['interrupted']}, "
       f"states={art['stats']['states_visited']})")
 EOF
+)
+gate_done
 
-echo "== explore --state-cache --jobs 4 smoke =="
+gate "explore --state-cache --jobs 4 smoke"
+(
+set -e
 rc=0
 "$CLOSER" explore examples/minic/bounded_buffer.mc --depth 40 \
   --max-runs 100000000 --state-cache=16 --jobs 4 \
@@ -259,8 +317,12 @@ assert stats["cache_saturated"] == 0, "smoke run saturated a 2^16 cache"
 print(f"ok: {path} (cache_inserts={stats['cache_inserts']}, "
       f"cache_hits={stats['cache_hits']})")
 EOF
+)
+gate_done
 
-echo "== close --stats-json smoke (cold close) =="
+gate "close --stats-json smoke (cold close)"
+(
+set -e
 "$CLOSER" close examples/minic/figure2.mc \
   --stats-json "$TMP/close.json" >/dev/null 2>&1
 "$PY" - "$TMP/close.json" <<'EOF'
@@ -296,8 +358,12 @@ assert closing["nodes_before"] > 0
 print(f"ok: {path} (passes={names}, "
       f"defuse_computed={art['analyses']['defuse']['computed']})")
 EOF
+)
+gate_done
 
-echo "== close --partition --stats-json smoke (warm cache) =="
+gate "close --partition --stats-json smoke (warm cache)"
+(
+set -e
 "$CLOSER" close examples/minic/resource_manager.mc --partition \
   --verify-each --stats-json "$TMP/partition.json" >/dev/null 2>&1
 "$PY" - "$TMP/partition.json" <<'EOF'
@@ -323,8 +389,12 @@ assert reused > 0, analyses
 assert analyses["alias"]["computed"] == 1, analyses
 print(f"ok: {path} (reused={reused})")
 EOF
+)
+gate_done
 
-echo "== incremental close gate (analysis cache) =="
+gate "incremental close gate (analysis cache)"
+(
+set -e
 # Cold -> warm -> one-proc edit over a persistent --analysis-cache DIR.
 # The warm run must restore everything; the edited run must recompute only
 # the touched procedure's def-use graph (plus the interprocedural taint
@@ -375,5 +445,7 @@ print(f"ok: incremental close (warm restored {warm['analysis_cache']['defuse_res
       f"{edit['analyses']['defuse']['computed']}, reused "
       f"{edit['analyses']['defuse']['reused']})")
 EOF
+)
+gate_done
 
-echo "== all checks passed =="
+finish

@@ -1,12 +1,53 @@
-//===- ParallelSearch.cpp - Work-sharing parallel stateless search ---------===//
+//===- ParallelSearch.cpp - The search driver: explore() and its workers ---===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
 //
 //===----------------------------------------------------------------------===//
+//
+// The one search driver behind closer::explore() and closer::collectTraces().
+// Stateless exploration is embarrassingly parallel: a recorded choice prefix
+// fully determines the subtree below it, so disjoint prefixes can be
+// exhausted by independent workers, each owning a private System.
+//
+//  * With Jobs <= 1 a single Explorer runs the bounded DFS from the root;
+//    there is no seeding pass and no scheduler.
+//  * Otherwise a sequential seeding pass expands the search tree to a split
+//    depth and deals the frontier prefixes round-robin across per-worker
+//    work-stealing deques (sched/Scheduler.h). N workers claim prefixes —
+//    own deque first, then stealing — and run the same DFS below them,
+//    pinned so backtracking never escapes the claimed subtree.
+//  * An idle worker parks on a wait node after its steal sweep fails; busy
+//    workers donate the highest unexplored sibling prefix of their current
+//    path whenever more workers are parked than parcels are queued, each
+//    donation waking exactly one sleeper, so load stays balanced on skewed
+//    trees without broadcast wakeups.
+//  * The only shared writable memory is SharedSearchControl: the stop flag
+//    (raised by StopOnFirstError, a budget, the time budget or SIGINT; read
+//    at every replay step) and the MaxRuns/MaxStates budget counters
+//    (bumped only while those budgets are set). Progress counters are
+//    explorer-owned blocks (SearchCounters) that the monitor thread sums.
+//  * Per-explorer SearchStats are merged at exit, and ErrorReports are
+//    deduplicated by a hash of their choice sequence (by the erroneous
+//    state's fingerprint under state caching, where distinct paths can
+//    report the same state).
+//  * Under state caching, all explorers share one concurrent fingerprint
+//    table (explorer/StateCache.h), so a state expanded by any worker is
+//    pruned everywhere else.
+//
+// Without caching, the result is bit-identical to the one-explorer run's on
+// every tree-shaped statistic (states, tree transitions, leaf
+// classification) and reports the same error set, independent of worker
+// scheduling, because the work items partition the search tree exactly.
+// Under caching, the *report set* stays deterministic for truncation-free
+// runs while visit order and replay-effort stats may vary; see
+// docs/ALGORITHM.md "Concurrent state caching".
+//
+//===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Explorer.h"
 
+#include "sched/Scheduler.h"
 #include "vm/Bytecode.h"
 
 #include <algorithm>
@@ -15,10 +56,69 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
 using namespace closer;
+
+namespace closer {
+
+/// Runs one search: builds its explorers, drives them, and merges their
+/// results into a SearchResult. Stateless; a friend of Explorer.
+struct SearchDriver {
+  /// A claimed unit of work: explore the whole subtree under Prefix.
+  /// Decisions at index >= FreshFrom have not been executed by any other
+  /// worker and count as fresh for stats/report purposes.
+  ///
+  /// When the donor held a checkpoint at or below the donation point, a
+  /// copy rides along (HasSnap): the receiver restores Snap and replays
+  /// only Prefix[SnapCursor..] instead of re-executing the whole prefix
+  /// from the initial state. Without it, a work item donated at depth d
+  /// costs d replayed transitions before any fresh exploration starts,
+  /// which dominates the wall clock of deep, donation-heavy runs.
+  struct WorkItem {
+    std::vector<ReplayStep> Prefix;
+    size_t FreshFrom = 0;
+    bool HasSnap = false;
+    /// Number of leading Prefix steps Snap already covers; Snap is the
+    /// state *before* Prefix[SnapCursor] executes, with SnapSleep the
+    /// sleep set in force there (empty when sleep sets are off).
+    size_t SnapCursor = 0;
+    std::vector<int> SnapSleep;
+    SystemSnapshot Snap;
+  };
+
+  /// Per-worker Chase–Lev deques of WorkItems plus a parking lot for idle
+  /// workers.
+  using ExploreScheduler = sched::Scheduler<WorkItem>;
+  using Parts = std::vector<std::unique_ptr<Explorer>>;
+
+  class Monitor;
+
+  /// Normalizes \p Options, runs the search, and returns its result. When
+  /// \p TraceSink is set (one-explorer runs only), leaf traces are appended
+  /// to it until it holds \p TraceCap of them.
+  static SearchResult run(const Module &Mod, const SearchOptions &Options,
+                          std::vector<Trace> *TraceSink, size_t TraceCap);
+  /// Exhausts the explorer's current (sub)tree: the runOnce/backtrack loop
+  /// with run-wide budget accounting, donating work while workers starve.
+  /// \p Sched is null for a run's first explorer (the whole search, or the
+  /// seeding pass); \p W is the calling worker's scheduler index.
+  static void driveExplorer(Explorer &Ex, ExploreScheduler *Sched, int W);
+  static void workerMain(Explorer &Ex, ExploreScheduler &Sched, int W);
+  /// Moves one unexplored sibling subtree from Ex's path to worker \p W's
+  /// deque (whence an idle worker steals it).
+  static bool donateOne(Explorer &Ex, ExploreScheduler &Sched, int W);
+  /// Fills R.Stats, R.Reports, R.Workers and R.Uncovered from the parts.
+  static void merge(SearchResult &R, const Module &Mod, const Parts &Ps);
+  /// Gathers the abandoned-subtree prefixes of a stopped run into R.Resume
+  /// (deepest first, deduplicated).
+  static void collectResume(SearchResult &R, const Parts &Ps,
+                            std::vector<WorkItem> Unclaimed);
+};
+
+} // namespace closer
 
 //===----------------------------------------------------------------------===//
 // Monitor
@@ -29,7 +129,7 @@ using namespace closer;
 /// cooperative stop flag when the wall-clock budget expires or an external
 /// stop flag (SIGINT) is set. Workers are never blocked by it — they only
 /// ever see relaxed atomic loads/stores.
-class ParallelExplorer::Monitor {
+class SearchDriver::Monitor {
 public:
   /// \p Blocks are the counter blocks of every explorer of the run; they
   /// must outlive the monitor thread (stop() or destruction).
@@ -177,56 +277,28 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// ParallelExplorer
+// The driver
 //===----------------------------------------------------------------------===//
-
-ParallelExplorer::ParallelExplorer(const Module &Mod, SearchOptions Options)
-    : Mod(Mod), Options(std::move(Options)) {
-  // Soundness, not a preference: a sleep set summarizes what *this path*
-  // already covered, but a shared visited cache prunes across paths. A
-  // state skipped here because of the sleep set would be cache-pruned at
-  // its other arrivals and never explored at all.
-  if (this->Options.stateCacheEnabled())
-    this->Options.UseSleepSets = false;
-}
-
-ParallelExplorer::~ParallelExplorer() = default;
-
-/// The replay step that selects option \p Option of decision \p D.
-ReplayStep ParallelExplorer::stepFor(const Explorer::Decision &D,
-                                     size_t Option) {
-  ReplayStep S;
-  switch (D.K) {
-  case Explorer::Decision::Kind::Sched:
-    S.K = ReplayStep::Kind::Sched;
-    S.Value = D.Procs[Option];
-    break;
-  case Explorer::Decision::Kind::Toss:
-    S.K = ReplayStep::Kind::Toss;
-    S.Value = static_cast<int64_t>(Option);
-    break;
-  case Explorer::Decision::Kind::Env:
-    S.K = ReplayStep::Kind::Env;
-    S.Value = static_cast<int64_t>(Option);
-    break;
-  }
-  return S;
-}
 
 namespace {
 
-uint64_t reportKey(const ErrorReport &R) {
+/// FNV-1a over 64-bit words: the hash behind both report identities.
+struct ReportHash {
   uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
+  void mix(uint64_t V) {
     H ^= V;
     H *= 1099511628211ull;
-  };
-  Mix(static_cast<uint64_t>(R.Kind));
-  for (const ReplayStep &S : R.Choices) {
-    Mix(static_cast<uint64_t>(S.K) + 1);
-    Mix(static_cast<uint64_t>(S.Value) + 0x9e3779b9ull);
   }
-  return H;
+};
+
+uint64_t reportKey(const ErrorReport &R) {
+  ReportHash Hash;
+  Hash.mix(static_cast<uint64_t>(R.Kind));
+  for (const ReplayStep &S : R.Choices) {
+    Hash.mix(static_cast<uint64_t>(S.K) + 1);
+    Hash.mix(static_cast<uint64_t>(S.Value) + 0x9e3779b9ull);
+  }
+  return Hash.H;
 }
 
 /// Report identity under state caching: the same erroneous state can be
@@ -234,18 +306,14 @@ uint64_t reportKey(const ErrorReport &R) {
 /// or sequentially before its fingerprint lands in the cache), so reports
 /// deduplicate by the state and the error details instead of by path.
 uint64_t stateReportKey(const ErrorReport &R) {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-  };
-  Mix(static_cast<uint64_t>(R.Kind));
-  Mix(R.StateFp);
-  Mix(static_cast<uint64_t>(R.Error.Kind));
-  Mix(static_cast<uint64_t>(R.Process) + 0x9e3779b9ull);
-  Mix(static_cast<uint64_t>(R.Loc.Line) << 32 |
-      static_cast<uint64_t>(R.Loc.Column));
-  return H;
+  ReportHash Hash;
+  Hash.mix(static_cast<uint64_t>(R.Kind));
+  Hash.mix(R.StateFp);
+  Hash.mix(static_cast<uint64_t>(R.Error.Kind));
+  Hash.mix(static_cast<uint64_t>(R.Process) + 0x9e3779b9ull);
+  Hash.mix(static_cast<uint64_t>(R.Loc.Line) << 32 |
+           static_cast<uint64_t>(R.Loc.Column));
+  return Hash.H;
 }
 
 void accumulate(SearchStats &Into, const SearchStats &From) {
@@ -274,8 +342,7 @@ void accumulate(SearchStats &Into, const SearchStats &From) {
 
 } // namespace
 
-bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
-                                 int W) {
+bool SearchDriver::donateOne(Explorer &Ex, ExploreScheduler &Sched, int W) {
   // Donate from the highest (closest to the work-item root) decision with
   // untried siblings: that is the largest parcel of remaining work, which
   // is what keeps skewed trees balanced. The donated option is taken from
@@ -290,8 +357,8 @@ bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
     Item.FreshFrom = I;
     Item.Prefix.reserve(I + 1);
     for (size_t J = 0; J != I; ++J)
-      Item.Prefix.push_back(stepFor(Ex.Path[J], Ex.Path[J].Chosen));
-    Item.Prefix.push_back(stepFor(D, End - 1));
+      Item.Prefix.push_back(Explorer::stepFor(Ex.Path[J], Ex.Path[J].Chosen));
+    Item.Prefix.push_back(Explorer::stepFor(D, End - 1));
     // Ship the deepest checkpoint at or below the donation point: its
     // snapshot is the state before Path[Cursor] with the current choices
     // [0, Cursor), which are exactly the prefix steps just serialized
@@ -324,8 +391,8 @@ bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
   return false;
 }
 
-void ParallelExplorer::driveExplorer(Explorer &Ex, ExploreScheduler *Sched,
-                                     int W) {
+void SearchDriver::driveExplorer(Explorer &Ex, ExploreScheduler *Sched,
+                                int W) {
   // Donation throttling is demand-driven (Scheduler::wantDonation): a
   // parcel is shed only while more workers are parked than parcels are
   // queued. This supersedes the fixed DonateBackoff counter the old shared
@@ -354,8 +421,7 @@ void ParallelExplorer::driveExplorer(Explorer &Ex, ExploreScheduler *Sched,
   }
 }
 
-void ParallelExplorer::workerMain(Explorer &Ex, ExploreScheduler &Sched,
-                                  int W) {
+void SearchDriver::workerMain(Explorer &Ex, ExploreScheduler &Sched, int W) {
   WorkItem Item;
   while (Sched.next(W, Item)) {
     if (Item.HasSnap)
@@ -382,69 +448,73 @@ void ParallelExplorer::workerMain(Explorer &Ex, ExploreScheduler &Sched,
   Ex.syncAllocStats();
 }
 
-void ParallelExplorer::mergeResults(const std::vector<Explorer *> &Parts) {
-  Stats = SearchStats();
-  Reports.clear();
-  Covered.clear();
-  PerWorker.clear();
-
+void SearchDriver::merge(SearchResult &R, const Module &Mod, const Parts &Ps) {
   // Under caching the same erroneous state can be freshly reached along
   // different paths before its fingerprint lands in the table, so dedup by
   // state identity; otherwise the choice sequence is the identity.
-  const bool ByState = Options.stateCacheEnabled();
+  const bool ByState = R.Options.stateCacheEnabled();
   std::unordered_set<uint64_t> SeenReports;
-  for (Explorer *Ex : Parts) {
-    PerWorker.push_back(Ex->Stats);
-    accumulate(Stats, Ex->Stats);
+  std::unordered_set<uint64_t> Covered; ///< Union of the parts' coverage.
+  for (const std::unique_ptr<Explorer> &Ex : Ps) {
+    R.Workers.push_back(Ex->Stats);
+    accumulate(R.Stats, Ex->Stats);
     Covered.insert(Ex->CoveredOps.begin(), Ex->CoveredOps.end());
-    for (ErrorReport &R : Ex->Reports) {
-      uint64_t Key = ByState ? stateReportKey(R) : reportKey(R);
+    for (ErrorReport &Rep : Ex->Reports) {
+      uint64_t Key = ByState ? stateReportKey(Rep) : reportKey(Rep);
       if (!SeenReports.insert(Key).second)
         continue; // Same error reported twice — keep one.
-      Reports.push_back(std::move(R));
+      R.Reports.push_back(std::move(Rep));
     }
   }
 
   // Deterministic report order regardless of worker scheduling: shallow
   // errors first, ties broken by the replayable choice sequence.
-  std::sort(Reports.begin(), Reports.end(),
+  std::sort(R.Reports.begin(), R.Reports.end(),
             [](const ErrorReport &A, const ErrorReport &B) {
               if (A.Depth != B.Depth)
                 return A.Depth < B.Depth;
               return replayToString(A.Choices) < replayToString(B.Choices);
             });
-  if (Reports.size() > Options.MaxReports) {
-    Stats.ReportsDropped += Reports.size() - Options.MaxReports;
-    Reports.resize(Options.MaxReports);
+  if (R.Reports.size() > R.Options.MaxReports) {
+    R.Stats.ReportsDropped += R.Reports.size() - R.Options.MaxReports;
+    R.Reports.resize(R.Options.MaxReports);
   }
 
-  if (Options.TrackCoverage) {
-    for (const ProcCfg &Proc : Mod.Procs)
-      for (const CfgNode &Node : Proc.Nodes)
-        Stats.VisibleOpsTotal += Node.isVisibleOp();
-    Stats.VisibleOpsCovered = Covered.size();
+  uint64_t VisibleOps = 0;
+  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
+    const ProcCfg &Proc = Mod.Procs[P];
+    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
+      if (!Proc.Nodes[I].isVisibleOp())
+        continue;
+      ++VisibleOps;
+      uint64_t Key = (static_cast<uint64_t>(P) << 32) | I;
+      if (!Covered.count(Key))
+        R.Uncovered.push_back({Proc.Name, static_cast<NodeId>(I)});
+    }
+  }
+  if (R.Options.TrackCoverage) {
+    R.Stats.VisibleOpsTotal = VisibleOps;
+    R.Stats.VisibleOpsCovered = Covered.size();
   }
 }
 
-void ParallelExplorer::collectResume(
-    std::vector<std::vector<ReplayStep>> InFlight,
-    std::vector<WorkItem> Unclaimed) {
-  Resume.clear();
+void SearchDriver::collectResume(SearchResult &R, const Parts &Ps,
+                                 std::vector<WorkItem> Unclaimed) {
   std::unordered_set<std::string> Seen;
   auto Add = [&](std::vector<ReplayStep> P) {
     if (P.empty())
       return;
     if (!Seen.insert(replayToString(P)).second)
       return;
-    Resume.push_back(std::move(P));
+    R.Resume.push_back(std::move(P));
   };
-  for (std::vector<ReplayStep> &P : InFlight)
-    Add(std::move(P));
+  for (const std::unique_ptr<Explorer> &Ex : Ps)
+    Add(std::move(Ex->LastInFlight));
   for (WorkItem &I : Unclaimed)
     Add(std::move(I.Prefix));
   // Deepest abandoned path first; ties broken by the replay string so the
   // order is independent of worker scheduling.
-  std::sort(Resume.begin(), Resume.end(),
+  std::sort(R.Resume.begin(), R.Resume.end(),
             [](const std::vector<ReplayStep> &A,
                const std::vector<ReplayStep> &B) {
               if (A.size() != B.size())
@@ -453,178 +523,143 @@ void ParallelExplorer::collectResume(
             });
 }
 
-SearchStats ParallelExplorer::run() {
+SearchResult SearchDriver::run(const Module &Mod, const SearchOptions &Options,
+                               std::vector<Trace> *TraceSink,
+                               size_t TraceCap) {
   const auto Begin = std::chrono::steady_clock::now();
-  auto Elapsed = [&Begin] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Begin)
-        .count();
-  };
-  Resume.clear();
-
-  // One shared fingerprint table per run: every explorer (the sequential
-  // one, the seeder, and all workers) consults the same cache, so a state
-  // expanded anywhere is pruned everywhere. Rebuilt fresh each run —
-  // stale fingerprints from a previous run would prune unsoundly.
-  Cache.reset();
-  if (Options.stateCacheEnabled())
-    Cache = std::make_unique<StateCache>(Options.StateCacheBits);
-
-  Control.reset();
-
-  if (Options.Jobs <= 1) {
-    Explorer Ex(Mod, Options);
-    Ex.Cache = Cache.get();
-    Ex.Shared = &Control;
-    Monitor Mon(Options, Control, nullptr, {&Ex.Live});
-    Mon.start();
-    Ex.run();
-    Mon.stop();
-    std::vector<Explorer *> Parts{&Ex};
-    mergeResults(Parts);
-    Stats.Completed = Ex.stats().Completed;
-    // mergeResults re-derives coverage; keep the sequential run's numbers.
-    Stats.VisibleOpsTotal = Ex.stats().VisibleOpsTotal;
-    Stats.VisibleOpsCovered = Ex.stats().VisibleOpsCovered;
-    Stats.Interrupted = Mon.interrupted() && !Stats.Completed;
-    Stats.WallSeconds = Elapsed();
-    if (!Stats.Completed)
-      collectResume({Ex.LastInFlight}, {});
-    return Stats;
-  }
-
-  const int Jobs = static_cast<int>(Options.Jobs);
-  ExploreScheduler Sched(Jobs);
-  // Every explorer of the run exists before the monitor starts, so the
-  // monitor reads a fixed set of counter blocks.
-  Explorer Seeder(Mod, Options);
-  std::vector<std::unique_ptr<Explorer>> Workers;
-  Workers.reserve(static_cast<size_t>(Jobs));
-  for (int W = 0; W != Jobs; ++W)
-    Workers.push_back(std::make_unique<Explorer>(Mod, Options));
-  std::vector<Explorer *> Parts{&Seeder};
-  std::vector<const SearchCounters *> Blocks;
-  for (std::unique_ptr<Explorer> &W : Workers)
-    Parts.push_back(W.get());
-  for (Explorer *Ex : Parts) {
-    Ex->Cache = Cache.get();
-    Ex->Shared = &Control;
-    Blocks.push_back(&Ex->Live);
-  }
-  // The monitor runs for the whole run — including the sequential seeding
-  // phase, which a time budget or Ctrl-C must also be able to interrupt.
-  Monitor Mon(Options, Control, &Sched, std::move(Blocks));
-  Mon.start();
-
-  // Phase 1 — sequential seeding: expand the tree to the split depth,
-  // collecting the frontier prefixes. The seeder owns (counts, reports)
-  // everything strictly above the frontier; each frontier node and its
-  // subtree belong to the worker that claims the prefix.
-  size_t SplitDepth = Options.SplitDepth;
-  if (SplitDepth == 0) {
-    SplitDepth = 3;
-    for (size_t J = 1; J < Options.Jobs; J <<= 1)
-      ++SplitDepth;
-  }
-
-  std::vector<std::vector<ReplayStep>> Frontier;
-  Seeder.FrontierSink = &Frontier;
-  Seeder.FrontierDepth = SplitDepth;
-  driveExplorer(Seeder, nullptr, 0);
-  Seeder.FrontierSink = nullptr;
-  Seeder.syncAllocStats();
-
-  // Phase 2 — parallel subtree exhaustion with work stealing. The frontier
-  // is dealt round-robin across the per-worker deques before any worker
-  // thread starts, so everyone begins with local work and stealing only
-  // kicks in once the initial shares go uneven.
-  {
-    int Target = 0;
-    for (std::vector<ReplayStep> &Prefix : Frontier) {
-      WorkItem Item;
-      Item.FreshFrom = Prefix.size(); // Replay of the prefix is never fresh.
-      Item.Prefix = std::move(Prefix);
-      Sched.seed(Target, std::move(Item));
-      Target = (Target + 1) % Jobs;
-    }
-  }
-
-  if (Control.Stop.load(std::memory_order_acquire))
-    Sched.requestStop(); // Budget/first error already hit while seeding.
-
-  {
-    std::vector<std::thread> Threads;
-    Threads.reserve(static_cast<size_t>(Jobs));
-    for (int W = 0; W != Jobs; ++W)
-      Threads.emplace_back(
-          [this, &Sched, W, Ex = Workers[static_cast<size_t>(W)].get()] {
-            workerMain(*Ex, Sched, W);
-          });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  Mon.stop();
-
-  mergeResults(Parts);
-  Stats.Completed = !Control.Stop.load(std::memory_order_acquire);
-  Stats.Interrupted = Mon.interrupted() && !Stats.Completed;
-  Stats.WallSeconds = Elapsed();
-  if (!Stats.Completed) {
-    std::vector<std::vector<ReplayStep>> InFlight;
-    for (Explorer *Ex : Parts)
-      InFlight.push_back(std::move(Ex->LastInFlight));
-    collectResume(std::move(InFlight), Sched.drainRemaining());
-  }
-  return Stats;
-}
-
-//===----------------------------------------------------------------------===//
-// closer::explore — the one search entry point
-//===----------------------------------------------------------------------===//
-
-SearchResult closer::explore(const Module &Mod, const SearchOptions &Options) {
-  SearchOptions Opts = Options;
-  // Normalize before constructing the backend so the options recorded in
-  // the result describe the search that actually ran. Jobs == 0 means one
-  // worker per hardware thread; the resolved count lands in
-  // SearchResult::Options (and from there in the stats-json artifact).
+  SearchResult R;
+  // Normalize before building any explorer, so the options recorded in the
+  // result describe the search that actually ran. Jobs == 0 means one
+  // worker per hardware thread; the resolved count lands in R.Options (and
+  // from there in the stats-json artifact).
+  SearchOptions &Opts = R.Options;
+  Opts = Options;
   if (Opts.Jobs == 0) {
     unsigned HW = std::thread::hardware_concurrency();
     Opts.Jobs = HW ? HW : 1;
     if (Opts.Jobs > 1024)
       Opts.Jobs = 1024; // validate()'s ceiling; absurd HW reports exist.
   }
+  // Soundness, not a preference: a sleep set summarizes what *this path*
+  // already covered, but a visited cache prunes across paths. A state
+  // skipped here because of the sleep set would be cache-pruned at its
+  // other arrivals and never explored at all.
   if (Opts.stateCacheEnabled())
-    Opts.UseSleepSets = false; // Unsound with a cross-path visited cache.
-  // Compile the bytecode once; the seeder and every worker share the
-  // immutable module while owning their own register files.
+    Opts.UseSleepSets = false;
+  // Compile the bytecode once; every explorer shares the immutable module
+  // while owning its own register file.
   if (Opts.Exec != ExecMode::Interp && !Opts.VmCode)
     Opts.VmCode = vm::compileModule(Mod);
 
-  ParallelExplorer Ex(Mod, Opts);
-  SearchResult R;
-  R.Options = std::move(Opts);
-  R.Stats = Ex.run();
-  R.Reports = Ex.reports();
-  R.Workers = Ex.workerStats();
-  R.Resume = Ex.resumePrefixes();
-  R.Uncovered = Ex.uncoveredVisibleOps();
+  // One shared fingerprint table per run: every explorer consults the same
+  // cache, so a state expanded anywhere is pruned everywhere.
+  SharedSearchControl Control;
+  std::unique_ptr<StateCache> Cache;
+  if (Opts.stateCacheEnabled())
+    Cache = std::make_unique<StateCache>(Opts.StateCacheBits);
+
+  // Part 0 runs the DFS from the root: the whole search with Jobs <= 1,
+  // else the seeding pass, followed by one explorer per worker thread.
+  // Every explorer exists before the monitor starts, so the monitor reads
+  // a fixed set of counter blocks.
+  const int Jobs = Opts.Jobs > 1 ? static_cast<int>(Opts.Jobs) : 0;
+  assert((!TraceSink || !Jobs) && "traces are collected by one explorer");
+  std::unique_ptr<ExploreScheduler> Sched;
+  if (Jobs)
+    Sched = std::make_unique<ExploreScheduler>(Jobs);
+  Parts Ps;
+  std::vector<const SearchCounters *> Blocks;
+  for (int I = 0; I <= Jobs; ++I) {
+    Ps.push_back(std::make_unique<Explorer>(Mod, Opts, Control, Cache.get()));
+    Blocks.push_back(&Ps.back()->Live);
+  }
+  // The monitor runs for the whole run — including the seeding pass, which
+  // a time budget or Ctrl-C must also be able to interrupt.
+  Monitor Mon(Opts, Control, Sched.get(), std::move(Blocks));
+  Mon.start();
+
+  // Phase 1 — the root explorer. As the seeding pass it expands the tree
+  // to the split depth, collecting the frontier prefixes: it owns (counts,
+  // reports) everything strictly above the frontier; each frontier node
+  // and its subtree belong to the worker that claims the prefix.
+  Explorer &Root = *Ps[0];
+  Root.TraceSink = TraceSink;
+  Root.TraceSinkCap = TraceCap;
+  std::vector<std::vector<ReplayStep>> Frontier;
+  if (Jobs) {
+    Root.FrontierSink = &Frontier;
+    Root.FrontierDepth = Opts.SplitDepth;
+    if (Root.FrontierDepth == 0) {
+      Root.FrontierDepth = 3;
+      for (int J = 1; J < Jobs; J <<= 1)
+        ++Root.FrontierDepth;
+    }
+  }
+  driveExplorer(Root, nullptr, 0);
+  Root.syncAllocStats();
+
+  // Phase 2 — parallel subtree exhaustion with work stealing. The frontier
+  // is dealt round-robin across the per-worker deques before any worker
+  // thread starts, so everyone begins with local work and stealing only
+  // kicks in once the initial shares go uneven.
+  if (Jobs) {
+    int Target = 0;
+    for (std::vector<ReplayStep> &Prefix : Frontier) {
+      WorkItem Item;
+      Item.FreshFrom = Prefix.size(); // Replay of the prefix is never fresh.
+      Item.Prefix = std::move(Prefix);
+      Sched->seed(Target, std::move(Item));
+      Target = (Target + 1) % Jobs;
+    }
+    if (Control.Stop.load(std::memory_order_acquire))
+      Sched->requestStop(); // Budget/first error already hit while seeding.
+
+    std::vector<std::thread> Threads;
+    Threads.reserve(static_cast<size_t>(Jobs));
+    for (int W = 0; W != Jobs; ++W) {
+      Explorer *Ex = Ps[static_cast<size_t>(W) + 1].get();
+      Threads.emplace_back([&Sched, W, Ex] { workerMain(*Ex, *Sched, W); });
+    }
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  Mon.stop();
+
+  merge(R, Mod, Ps);
+  R.Stats.Completed = !Control.Stop.load(std::memory_order_acquire);
+  R.Stats.Interrupted = Mon.interrupted() && !R.Stats.Completed;
+  R.Stats.WallSeconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - Begin)
+                            .count();
+  if (!Jobs)
+    R.Workers[0] = R.Stats; // The one part is the whole run.
+  if (!R.Stats.Completed)
+    collectResume(R, Ps, Sched ? Sched->drainRemaining()
+                               : std::vector<WorkItem>());
   return R;
 }
 
-std::vector<std::pair<std::string, NodeId>>
-ParallelExplorer::uncoveredVisibleOps() const {
-  std::vector<std::pair<std::string, NodeId>> Out;
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    const ProcCfg &Proc = Mod.Procs[P];
-    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
-      if (!Proc.Nodes[I].isVisibleOp())
-        continue;
-      uint64_t Key = (static_cast<uint64_t>(P) << 32) | I;
-      if (!Covered.count(Key))
-        Out.push_back({Proc.Name, static_cast<NodeId>(I)});
+SearchResult closer::explore(const Module &Mod, const SearchOptions &Options) {
+  return SearchDriver::run(Mod, Options, nullptr, 0);
+}
+
+std::vector<Trace> closer::collectTraces(const Module &Mod,
+                                         SearchOptions Options,
+                                         size_t MaxTraces) {
+  Options.Jobs = 1; // One explorer: the cap keeps a DFS-order prefix.
+  std::vector<Trace> Sink;
+  // Collect with headroom, dedup below.
+  SearchDriver::run(Mod, Options, &Sink, MaxTraces * 4);
+
+  std::vector<Trace> Unique;
+  std::unordered_set<std::string> Seen;
+  for (Trace &T : Sink) {
+    std::string Key = traceToString(T);
+    if (Seen.insert(std::move(Key)).second) {
+      Unique.push_back(std::move(T));
+      if (Unique.size() >= MaxTraces)
+        break;
     }
   }
-  return Out;
+  return Unique;
 }

@@ -5,16 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Search.h"
+#include "explorer/Explorer.h"
 
 #include "vm/Differential.h"
 #include "vm/Vm.h"
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <numeric>
-#include <unordered_set>
 
 using namespace closer;
 
@@ -131,8 +129,8 @@ std::string ErrorReport::str() const {
 
 /// Feeds recorded toss/env decisions back during replay and appends fresh
 /// ones (always choosing 0 first) when execution passes the recorded
-/// frontier. When the explorer carries a work-item seed prefix
-/// (ParallelExplorer), decisions past the recorded path follow that prefix
+/// frontier. When the explorer carries a work-item seed prefix (work
+/// sharing), decisions past the recorded path follow that prefix
 /// instead of defaulting to 0, rebuilding the donor's Decision records.
 class Explorer::PathProvider : public ChoiceProvider {
 public:
@@ -186,19 +184,16 @@ private:
 // Explorer
 //===----------------------------------------------------------------------===//
 
-Explorer::Explorer(const Module &Mod, SearchOptions Options)
-    : Mod(Mod), Options(Options), Footprints(Mod),
-      Sys(Mod, Options.Runtime) {
-  if (this->Options.Exec != ExecMode::Interp) {
-    // explore() normally pre-compiles once for all workers; a directly
-    // constructed Explorer compiles its own copy so correctness never
-    // depends on the caller (or the optional lower-bytecode pass).
-    if (!this->Options.VmCode)
-      this->Options.VmCode = vm::compileModule(Mod);
-    if (this->Options.Exec == ExecMode::Vm)
-      Engine = std::make_unique<vm::Vm>(this->Options.VmCode);
+Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
+                   SharedSearchControl &Shared, StateCache *Cache)
+    : Mod(Mod), Options(Options), Footprints(Mod), Sys(Mod, Options.Runtime),
+      Cache(Cache), Shared(Shared) {
+  if (Options.Exec != ExecMode::Interp) {
+    assert(Options.VmCode && "the driver compiles the bytecode once per run");
+    if (Options.Exec == ExecMode::Vm)
+      Engine = std::make_unique<vm::Vm>(Options.VmCode);
     else
-      Engine = std::make_unique<vm::DifferentialEngine>(this->Options.VmCode);
+      Engine = std::make_unique<vm::DifferentialEngine>(Options.VmCode);
     Sys.setEngine(Engine.get());
   }
 }
@@ -212,28 +207,30 @@ void Explorer::report(ErrorReport R) {
   }
 }
 
+ReplayStep Explorer::stepFor(const Decision &D, size_t Option) {
+  ReplayStep S;
+  switch (D.K) {
+  case Decision::Kind::Sched:
+    S.K = ReplayStep::Kind::Sched;
+    S.Value = D.Procs[Option];
+    break;
+  case Decision::Kind::Toss:
+    S.K = ReplayStep::Kind::Toss;
+    S.Value = static_cast<int64_t>(Option);
+    break;
+  case Decision::Kind::Env:
+    S.K = ReplayStep::Kind::Env;
+    S.Value = static_cast<int64_t>(Option);
+    break;
+  }
+  return S;
+}
+
 /// The choices consumed so far in the current run, in replayable form.
 std::vector<ReplayStep> Explorer::currentChoices() const {
   std::vector<ReplayStep> Out;
-  for (size_t I = 0; I < Cursor && I < Path.size(); ++I) {
-    const Decision &D = Path[I];
-    ReplayStep S;
-    switch (D.K) {
-    case Decision::Kind::Sched:
-      S.K = ReplayStep::Kind::Sched;
-      S.Value = D.Procs[D.Chosen];
-      break;
-    case Decision::Kind::Toss:
-      S.K = ReplayStep::Kind::Toss;
-      S.Value = static_cast<int64_t>(D.Chosen);
-      break;
-    case Decision::Kind::Env:
-      S.K = ReplayStep::Kind::Env;
-      S.Value = static_cast<int64_t>(D.Chosen);
-      break;
-    }
-    Out.push_back(S);
-  }
+  for (size_t I = 0; I < Cursor && I < Path.size(); ++I)
+    Out.push_back(stepFor(Path[I], Path[I].Chosen));
   return Out;
 }
 
@@ -246,7 +243,6 @@ std::vector<ReplayStep> Explorer::currentChoices() const {
 /// across calls, so the steady state allocates nothing here.
 void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
                                    const std::vector<int> &Sleep,
-                                   const std::vector<int> & /*SleepObjs*/,
                                    std::vector<int> &Out) {
   Out.clear();
   if (Options.UsePersistentSets && Sys.processCount() > 1) {
@@ -325,10 +321,8 @@ bool Explorer::countRun() {
   Live.Runs.store(Stats.Runs, std::memory_order_relaxed);
   if (!Options.MaxRuns)
     return false;
-  uint64_t TotalRuns =
-      Shared ? Shared->Runs.fetch_add(1, std::memory_order_relaxed) + 1
-             : Stats.Runs;
-  return TotalRuns >= Options.MaxRuns;
+  return Shared.Runs.fetch_add(1, std::memory_order_relaxed) + 1 >=
+         Options.MaxRuns;
 }
 
 void Explorer::syncAllocStats() {
@@ -477,10 +471,8 @@ bool Explorer::runOnce() {
   for (;;) {
     // Another worker may have hit the global budget or found the first
     // error; bail out before executing the next step.
-    if (stopRequested()) {
-      StopFlag = true;
+    if (stopRequested())
       return false;
-    }
     bool AtPathEnd = Cursor >= Path.size();
     Sys.enabledProcessesInto(EnabledBuf);
     const std::vector<int> &Enabled = EnabledBuf;
@@ -495,7 +487,7 @@ bool Explorer::runOnce() {
       Decision D;
       D.K = Decision::Kind::Sched;
       D.Procs = IntPool.acquire();
-      schedCandidatesInto(Enabled, CurSleep, {}, D.Procs);
+      schedCandidatesInto(Enabled, CurSleep, D.Procs);
       D.Sleep = IntPool.acquire();
       D.Sleep.assign(CurSleep.begin(), CurSleep.end());
       auto It = std::find(D.Procs.begin(), D.Procs.end(),
@@ -521,9 +513,7 @@ bool Explorer::runOnce() {
         Live.MaxDepth.store(Depth, std::memory_order_relaxed);
       if (Options.MaxStates) {
         uint64_t TotalStates =
-            Shared ? Shared->StatesVisited.fetch_add(
-                         1, std::memory_order_relaxed) + 1
-                   : Stats.StatesVisited;
+            Shared.StatesVisited.fetch_add(1, std::memory_order_relaxed) + 1;
         if (TotalStates >= Options.MaxStates) {
           requestStop();
           return false;
@@ -570,14 +560,14 @@ bool Explorer::runOnce() {
           ++Stats.Terminations;
         }
         RecordLeafTrace();
-        return !StopFlag;
+        return !stopRequested();
       }
       if (Sys.depth() >= Options.MaxDepth) {
         ++Stats.DepthLimitHits;
         RecordLeafTrace();
         return true;
       }
-      schedCandidatesInto(Enabled, CurSleep, {}, CandBuf);
+      schedCandidatesInto(Enabled, CurSleep, CandBuf);
       if (CandBuf.empty()) {
         ++Stats.SleepSetPrunes;
         RecordLeafTrace();
@@ -712,96 +702,4 @@ bool Explorer::backtrack() {
     Path.pop_back();
   }
   return false;
-}
-
-SearchStats Explorer::run() {
-  // Re-invocation starts from a clean slate: stats, reports, caches, and
-  // any parallel work-item state left by a previous use of this explorer.
-  // An externally attached cache (ParallelExplorer's shared table) is the
-  // attacher's to manage; only a privately owned one is rebuilt here.
-  Stats = SearchStats();
-  Live.reset();
-  Reports.clear();
-  if (Cache == OwnedCache.get()) {
-    if (Options.stateCacheEnabled()) {
-      OwnedCache = std::make_unique<StateCache>(Options.StateCacheBits);
-      Cache = OwnedCache.get();
-    } else {
-      OwnedCache.reset();
-      Cache = nullptr;
-    }
-  }
-  CoveredOps.clear();
-  clearPath();
-  Cursor = 0;
-  clearCkpts();
-  StopFlag = false;
-  LastInFlight.clear();
-  Floor = 0;
-  SeedPrefix.clear();
-  SeedCursor = 0;
-  SeedFresh = 0;
-  SeedSnapValid = false;
-  SeedSnap = Checkpoint();
-
-  for (;;) {
-    bool Continue = runOnce();
-    bool OutOfRuns = countRun();
-    if (!Continue || StopFlag) {
-      if (stopRequested())
-        LastInFlight = currentChoices();
-      break;
-    }
-    if (OutOfRuns)
-      break;
-    if (!backtrack()) {
-      Stats.Completed = true;
-      break;
-    }
-  }
-
-  if (Options.TrackCoverage) {
-    for (const ProcCfg &Proc : Mod.Procs)
-      for (const CfgNode &Node : Proc.Nodes)
-        Stats.VisibleOpsTotal += Node.isVisibleOp();
-    Stats.VisibleOpsCovered = CoveredOps.size();
-  }
-  syncAllocStats();
-  return Stats;
-}
-
-std::vector<std::pair<std::string, NodeId>>
-Explorer::uncoveredVisibleOps() const {
-  std::vector<std::pair<std::string, NodeId>> Out;
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    const ProcCfg &Proc = Mod.Procs[P];
-    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
-      if (!Proc.Nodes[I].isVisibleOp())
-        continue;
-      uint64_t Key = (static_cast<uint64_t>(P) << 32) | I;
-      if (!CoveredOps.count(Key))
-        Out.push_back({Proc.Name, static_cast<NodeId>(I)});
-    }
-  }
-  return Out;
-}
-
-std::vector<Trace> Explorer::collectTraces(size_t MaxTraces) {
-  std::vector<Trace> Sink;
-  TraceSink = &Sink;
-  TraceSinkCap = MaxTraces * 4; // Collect with headroom, dedup below.
-  run();
-  TraceSink = nullptr;
-
-  std::vector<Trace> Unique;
-  std::unordered_set<std::string> Seen;
-  for (Trace &T : Sink) {
-    std::string Key = traceToString(T);
-    if (Seen.insert(std::move(Key)).second) {
-      Unique.push_back(std::move(T));
-      if (Unique.size() >= MaxTraces)
-        break;
-    }
-  }
-  return Unique;
 }

@@ -25,33 +25,29 @@
 /// A state-caching mode (store fingerprints, prune revisits) is provided as
 /// an ablation of the stateless design; see explorer/StateCache.h.
 ///
-/// The stable entry point for running a search is closer::explore(), which
-/// selects sequential, parallel, or cached execution from the options.
-/// Explorer (below) and ParallelExplorer (ParallelSearch.h) are the
-/// implementation underneath it.
+/// closer::explore() runs every search: one explorer for Jobs <= 1, a
+/// seeding pass plus Jobs work-stealing workers otherwise, each with or
+/// without the shared state cache. collectTraces() runs the same driver and
+/// keeps the leaf traces. The per-worker engine underneath (Explorer.h) and
+/// the driver (ParallelSearch.cpp) are internal to the library.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLOSER_EXPLORER_SEARCH_H
 #define CLOSER_EXPLORER_SEARCH_H
 
-#include "explorer/Footprints.h"
 #include "explorer/Replay.h"
 #include "explorer/StateCache.h"
 #include "runtime/System.h"
-#include "support/Arena.h"
 #include "support/Diagnostics.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace closer {
-
-class ParallelExplorer;
 
 namespace vm {
 struct CompiledModule;
@@ -93,13 +89,13 @@ struct SearchOptions {
   /// — a test-adequacy metric for the paper's "lightweight testing
   /// platform" use (§6).
   bool TrackCoverage = true;
-  /// Worker threads for ParallelExplorer (1 = plain sequential search;
-  /// 0 = auto: explore() resolves it to the hardware concurrency and
-  /// records the resolved count in SearchResult::Options).
+  /// Worker threads (1 = one explorer, no seeding pass; 0 = auto:
+  /// explore() resolves it to the hardware concurrency and records the
+  /// resolved count in SearchResult::Options).
   size_t Jobs = 1;
   /// Number of decisions the sequential seeding pass expands before
-  /// handing subtrees to workers (0 = derive from Jobs). Only read by
-  /// ParallelExplorer.
+  /// handing subtrees to workers (0 = derive from Jobs). Only read when
+  /// Jobs > 1.
   size_t SplitDepth = 0;
   /// Keep a System snapshot every this many global states along the DFS
   /// stack and, on backtrack, restore the nearest one instead of
@@ -108,7 +104,7 @@ struct SearchOptions {
   /// only Transitions/TransitionsReplayed/TransitionsRestored move.
   size_t CheckpointInterval = 0;
   //===--------------------------------------------------------------------===//
-  // Observability & graceful degradation (read by ParallelExplorer)
+  // Observability & graceful degradation
   //===--------------------------------------------------------------------===//
   /// Print a progress line to stderr every this many seconds (0 = off).
   /// Driven by a monitor thread that sums the explorers' SearchCounters
@@ -126,8 +122,7 @@ struct SearchOptions {
   ExecMode Exec = ExecMode::Interp;
   /// Pre-compiled bytecode for Vm/Both modes. explore() compiles the module
   /// once and shares the immutable result across the seeder and all
-  /// workers; left null with Exec == Interp. An Explorer constructed
-  /// directly with a null VmCode compiles its own copy.
+  /// workers; left null with Exec == Interp.
   std::shared_ptr<const vm::CompiledModule> VmCode;
   SystemOptions Runtime;
 
@@ -141,59 +136,6 @@ struct SearchOptions {
   /// adjustments explore() applies automatically (e.g. sleep sets off
   /// under caching).
   std::vector<Diagnostic> validate() const;
-};
-
-/// One explorer's live progress counters: the read side of `--progress`.
-/// Only the owning explorer writes its block, and only with relaxed stores
-/// of values it already holds in its SearchStats (no read-modify-write), so
-/// the per-state path never touches a cache line another core writes. The
-/// monitor thread sums the blocks of the seeder and every worker (taking
-/// the max of MaxDepth); its reads are racy by design but atomic, so a
-/// progress line is a slightly stale, never torn, view.
-struct alignas(64) SearchCounters {
-  std::atomic<uint64_t> States{0};
-  std::atomic<uint64_t> Transitions{0};
-  std::atomic<uint64_t> Runs{0};
-  /// Reports retained by this explorer; duplicates across workers are not
-  /// yet deduplicated, so the sum may exceed the final merged count.
-  std::atomic<uint64_t> Reports{0};
-  /// Deepest fresh global state this explorer reached.
-  std::atomic<uint64_t> MaxDepth{0};
-  // State-cache traffic (zero when caching is off).
-  std::atomic<uint64_t> CacheHits{0};
-  std::atomic<uint64_t> CacheInserts{0};
-  std::atomic<uint64_t> CacheSaturated{0};
-
-  void reset() {
-    for (std::atomic<uint64_t> *C :
-         {&States, &Transitions, &Runs, &Reports, &MaxDepth, &CacheHits,
-          &CacheInserts, &CacheSaturated})
-      C->store(0, std::memory_order_relaxed);
-  }
-};
-static_assert(sizeof(SearchCounters) == 64,
-              "one explorer's counters must fill exactly one cache line");
-
-/// The only memory the explorers of one run write in common: the stop flag
-/// and the global MaxStates/MaxRuns budget counters. Progress counters are
-/// not here; they are worker-owned (SearchCounters).
-struct SharedSearchControl {
-  /// Raised by StopOnFirstError, an exhausted budget, the time budget or
-  /// SIGINT. Every explorer reads it at every replay step and it is
-  /// written a handful of times per run, so it sits alone on its cache
-  /// line and stays shared in every core's cache.
-  alignas(64) std::atomic<bool> Stop{false};
-  /// Global budget counters, bumped only while MaxStates (resp. MaxRuns)
-  /// is set, so an unbudgeted run never writes them. A worker counts
-  /// before it checks, so a budget overshoots by at most one per worker.
-  alignas(64) std::atomic<uint64_t> StatesVisited{0};
-  std::atomic<uint64_t> Runs{0};
-
-  void reset() {
-    Stop.store(false);
-    StatesVisited.store(0);
-    Runs.store(0);
-  }
 };
 
 struct SearchStats {
@@ -282,245 +224,35 @@ struct SearchResult {
   SearchOptions Options;
   SearchStats Stats;
   std::vector<ErrorReport> Reports;
-  /// Per-part statistics: element 0 is the seeding pass (or the single
-  /// explorer of a sequential run), then one entry per worker thread.
+  /// Per-part statistics: element 0 is the seeding pass, then one entry
+  /// per worker thread. Summing them reproduces Stats up to the merge-derived
+  /// fields (coverage, Completed/Interrupted/WallSeconds). A one-explorer
+  /// run (Jobs <= 1) has the single entry Workers[0] == Stats.
   std::vector<SearchStats> Workers;
-  /// For interrupted runs: replayable choice prefixes of the abandoned
-  /// subtrees, deepest first. Empty for completed runs.
+  /// For runs stopped early (time budget, SIGINT, a hard budget or the
+  /// first error): replayable choice prefixes of the abandoned subtrees —
+  /// every explorer's in-flight path plus the unclaimed work items, deepest
+  /// first. Empty for completed runs.
   std::vector<std::vector<ReplayStep>> Resume;
   /// Visible-operation call sites the search never exercised.
   std::vector<std::pair<std::string, NodeId>> Uncovered;
 };
 
-/// The unified search entry point: closes over every execution mode.
-/// Selects sequential (Jobs <= 1), work-sharing parallel (Jobs > 1), and
-/// cached (stateCacheEnabled()) execution from \p Options, including the
-/// combination `--state-cache --jobs N` (one concurrent fingerprint table
-/// shared by all workers). Normalizations applied (see
+/// Runs a search of \p Mod: one explorer (Jobs <= 1) or work-sharing
+/// parallel (Jobs > 1), each with or without the state cache
+/// (stateCacheEnabled()); `--state-cache --jobs N` shares one concurrent
+/// fingerprint table across all workers. Normalizations applied (see
 /// SearchOptions::validate() for the corresponding warnings): sleep sets
 /// are disabled when caching is on; Jobs == 0 runs one worker per hardware
 /// thread (the resolved count is recorded in SearchResult::Options).
-///
-/// All tools and tests should call this instead of constructing Explorer /
-/// ParallelExplorer directly.
 SearchResult explore(const Module &Mod, const SearchOptions &Options);
 
-class Explorer {
-public:
-  Explorer(const Module &Mod, SearchOptions Options = {});
-
-  /// Runs the exploration to completion (or budget exhaustion).
-  SearchStats run();
-
-  const std::vector<ErrorReport> &reports() const { return Reports; }
-
-  /// Statistics of the most recent run()/collectTraces() invocation.
-  const SearchStats &stats() const { return Stats; }
-
-  /// Visible-operation call sites never exercised by the last run, as
-  /// (procedure name, node id) pairs — the blind spots of the search.
-  std::vector<std::pair<std::string, NodeId>> uncoveredVisibleOps() const;
-
-  /// Convenience: all distinct visible traces of leaves reached, capped at
-  /// \p MaxTraces. Used by the trace-inclusion property tests.
-  std::vector<Trace> collectTraces(size_t MaxTraces);
-
-private:
-  struct Decision {
-    enum class Kind { Sched, Toss, Env };
-    Kind K = Kind::Sched;
-    // Sched:
-    std::vector<int> Procs; ///< Candidate processes, in exploration order.
-    std::vector<int> Sleep; ///< Sleep set on entry (process indices).
-    std::vector<int> SleepObjs; ///< Their pending objects at entry.
-    // Toss/Env:
-    int64_t Bound = 0;
-    size_t Chosen = 0;
-    /// Trailing options handed to another worker by ParallelExplorer's
-    /// work sharing; backtrack() must not re-explore them.
-    uint32_t DonatedTail = 0;
-
-    size_t optionCount() const {
-      if (K == Kind::Sched)
-        return Procs.size();
-      // A negative bound is a runtime error (the System reports it before
-      // any choice is recorded); never let it wrap into a huge count.
-      return Bound < 0 ? 1 : static_cast<size_t>(Bound) + 1;
-    }
-    /// Options still owned by this explorer (donated ones excluded).
-    size_t ownedOptionEnd() const { return optionCount() - DonatedTail; }
-  };
-
-  class PathProvider;
-
-  /// A snapshot of the System just before executing decision Path[Cursor],
-  /// with the sleep set in force at that point. Stays valid while the
-  /// decision survives backtracking (Cursor < Path.size()) — the decision's
-  /// Chosen branch may change underneath it, since the snapshot captures
-  /// the state *before* the choice is acted on.
-  struct Checkpoint {
-    size_t Cursor = 0;
-    std::vector<int> Sleep;
-    SystemSnapshot Snap;
-  };
-
-  /// Executes one full path following (and extending) Path. Returns false
-  /// when the global stop condition triggered.
-  bool runOnce();
-  bool backtrack();
-  /// Snapshots the state before executing Path[Cursor] when the checkpoint
-  /// interval (or a worker's pinned prefix) calls for it.
-  void maybeCheckpoint(const std::vector<int> &CurSleep);
-  std::vector<ReplayStep> currentChoices() const;
-  /// Persistent-set candidate selection; overwrites \p Out (which is pool
-  /// or scratch storage on the hot path).
-  void schedCandidatesInto(const std::vector<int> &Enabled,
-                           const std::vector<int> &Sleep,
-                           const std::vector<int> &SleepObjs,
-                           std::vector<int> &Out);
-  /// Counts one finished runOnce() path in Stats and the live block.
-  /// Returns true when it exhausts the MaxRuns budget (global across the
-  /// run's explorers when Shared is attached).
-  bool countRun();
-  /// Copies the allocator counters (arena bytes, pool misses) into Stats.
-  /// Called at the end of run() and by ParallelExplorer after each worker
-  /// finishes.
-  void syncAllocStats();
-  // Pool recycling for path/checkpoint storage; popping without releasing
-  // is only a missed reuse, never a leak.
-  void releaseDecision(Decision &D);
-  void releaseCheckpoint(Checkpoint &C);
-  void clearPath();
-  void clearCkpts();
-  void report(ErrorReport R);
-  bool stopRequested() const {
-    return StopFlag ||
-           (Shared && Shared->Stop.load(std::memory_order_acquire));
-  }
-  /// Stops this explorer and, when coordinated, every sibling worker.
-  void requestStop() {
-    StopFlag = true;
-    if (Shared)
-      Shared->Stop.store(true, std::memory_order_release);
-  }
-  /// ParallelExplorer: prepare this explorer to exhaust the subtree under
-  /// \p Prefix. The prefix decisions are reconstructed (candidates and
-  /// sleep sets recomputed) during the first runOnce() without recounting
-  /// stats; decisions at index >= \p FreshFrom count as fresh. backtrack()
-  /// then never pops below the prefix. Stats/Reports accumulate across
-  /// successive subtrees.
-  void beginSubtree(std::vector<ReplayStep> Prefix, size_t FreshFrom) {
-    clearPath();
-    Cursor = 0;
-    clearCkpts(); // Snapshots index into the abandoned path.
-    LastInFlight.clear();
-    Floor = Prefix.size();
-    SeedPrefix = std::move(Prefix);
-    SeedCursor = 0;
-    SeedFresh = FreshFrom;
-    SeedSnapValid = false;
-    SeedSnap = Checkpoint();
-  }
-  /// Like beginSubtree(), but the work item ships the donor's checkpoint
-  /// covering Prefix[0, SnapCursor): the first runOnce() restores \p Snap
-  /// with \p SnapSleep in force and replays only the prefix tail. The
-  /// covered head is materialized as placeholder decisions (single-option,
-  /// never executed) so currentChoices() and donation prefixes still
-  /// serialize the full path from the root.
-  void beginSubtree(std::vector<ReplayStep> Prefix, size_t FreshFrom,
-                    SystemSnapshot Snap, size_t SnapCursor,
-                    std::vector<int> SnapSleep);
-
-  const Module &Mod;
-  SearchOptions Options;
-  FootprintAnalysis Footprints;
-  System Sys;
-  /// The engine installed into Sys for Vm/Both modes (null for Interp).
-  /// Owned here: each explorer needs its own register file even when the
-  /// compiled code is shared.
-  std::unique_ptr<ExecEngine> Engine;
-  std::vector<Decision> Path;
-  size_t Cursor = 0;
-  /// Checkpoints along the current path, shallowest first (strictly
-  /// increasing Cursor). Empty when CheckpointInterval is 0.
-  std::vector<Checkpoint> Ckpts;
-  SearchStats Stats;
-  /// The live mirror of Stats that the progress monitor reads; written by
-  /// this explorer only.
-  SearchCounters Live;
-  std::vector<ErrorReport> Reports;
-  /// Visited-state fingerprint cache consulted at fresh arrivals. Either
-  /// owned (sequential caching: run() builds a private table) or attached
-  /// by ParallelExplorer (one table shared across all workers). Null when
-  /// caching is off.
-  StateCache *Cache = nullptr;
-  std::unique_ptr<StateCache> OwnedCache;
-  /// Covered visible sites, packed as ProcIdx * 2^32 + NodeId.
-  std::unordered_set<uint64_t> CoveredOps;
-  bool StopFlag = false;
-  std::vector<Trace> *TraceSink = nullptr;
-  size_t TraceSinkCap = 0;
-  /// The choice prefix that was in flight when a cooperative stop cut the
-  /// current runOnce() short — the deepest abandoned path, replayable by
-  /// hand to resume the search (empty when the run ended normally).
-  std::vector<ReplayStep> LastInFlight;
-
-  // Parallel-mode state, driven by ParallelExplorer (see ParallelSearch.h).
-  /// Decisions [0, Floor) are a pinned work-item prefix; backtrack() stops
-  /// there instead of at the root.
-  size_t Floor = 0;
-  /// Choice prefix still to be reconstructed into Path on the next
-  /// runOnce(), and the cursor walking it.
-  std::vector<ReplayStep> SeedPrefix;
-  size_t SeedCursor = 0;
-  /// First prefix index whose execution counts as fresh (seeded items:
-  /// prefix length — nothing; donated items: the donated sibling step).
-  size_t SeedFresh = 0;
-  /// Work-item snapshot (see the snapshot beginSubtree overload): restored
-  /// whenever no regular checkpoint survives, so with CheckpointInterval 0
-  /// every path of the item still starts at SeedSnap.Cursor instead of the
-  /// initial state. Cursor/Sleep/Snap reuse the Checkpoint layout.
-  bool SeedSnapValid = false;
-  Checkpoint SeedSnap;
-  /// Seeding mode: instead of descending past FrontierDepth decisions,
-  /// emit the choice prefix here and treat the node as an artificial leaf.
-  /// The frontier node itself is left uncounted for its future owner.
-  std::vector<std::vector<ReplayStep>> *FrontierSink = nullptr;
-  size_t FrontierDepth = 0;
-  /// Shared budgets/stop flag, attached by ParallelExplorer (for a
-  /// sequential run too, so the monitor can stop it). Null for an
-  /// Explorer driven directly, whose budgets count in Stats alone.
-  SharedSearchControl *Shared = nullptr;
-
-  // Hot-path allocation recycling (support/Arena.h). All per-explorer and
-  // single-threaded: in a parallel run each worker's Explorer owns its own
-  // arena and pools, so the steady state touches no shared allocator at
-  // all. Pool misses are bounded by the DFS-stack high-water mark; the
-  // arena stops growing once the deepest path has been visited.
-  /// Recycles Decision::Procs/Sleep/SleepObjs and Checkpoint::Sleep.
-  support::VectorPool<int> IntPool;
-  /// Recycles checkpoint snapshots: restoring content into a pooled
-  /// snapshot reuses its process/comm/trace buffers.
-  support::ObjectPool<SystemSnapshot> SnapPool;
-  /// Backs the per-transition footprint scratch bitsets (FpBuf).
-  support::Arena FpArena;
-  // Per-transition scratch, reused across every state expansion.
-  std::vector<int> EnabledBuf;
-  std::vector<std::pair<int, NodeId>> FrameBuf;
-  /// One footprint per process, words on FpArena; sized once per run.
-  std::vector<ObjSet> FpBuf;
-  /// Union-find and selection scratch for schedCandidatesInto.
-  std::vector<int> CompBuf;
-  std::vector<int> BestMembersBuf;
-  /// Current/next sleep-set scratch for the runOnce descent loop.
-  std::vector<int> SleepCurBuf;
-  std::vector<int> SleepObjsCurBuf;
-  std::vector<int> SleepNextBuf;
-  std::vector<int> SleepObjsNextBuf;
-  std::vector<int> CandBuf;
-
-  friend class ParallelExplorer;
-};
+/// All distinct visible traces of the leaves a search of \p Mod reaches,
+/// in DFS order, capped at \p MaxTraces. Runs explore()'s driver with one
+/// explorer (Options.Jobs is ignored) so the cap keeps a deterministic
+/// prefix. Used by the trace-inclusion property tests (Theorem 6).
+std::vector<Trace> collectTraces(const Module &Mod, SearchOptions Options,
+                                 size_t MaxTraces);
 
 } // namespace closer
 

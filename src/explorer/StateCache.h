@@ -16,7 +16,7 @@
 ///    disjoint cache lines;
 ///  * slots are lock-free: an empty slot is claimed with a single
 ///    compare-and-swap, so readers and writers never block and the table
-///    is safe to consult from every ParallelExplorer worker;
+///    is safe to consult from every worker of a parallel search;
 ///  * capacity is a hard bound (`--state-cache=BITS` => 2^BITS slots, 8
 ///    bytes each). When a shard's probe window is full the insert reports
 ///    Saturated and the caller keeps searching without pruning — a sound

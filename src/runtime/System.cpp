@@ -107,34 +107,17 @@ void System::buildResolutionCaches() {
 
 SystemSnapshot System::snapshot() const {
   SystemSnapshot S;
-  snapshotInto(S);
-  return S;
-}
-
-SystemSnapshot System::snapshotLight() const {
-  SystemSnapshot S;
-  snapshotLightInto(S);
-  return S;
-}
-
-SystemSnapshot System::materializeTrace(const SystemSnapshot &Light) const {
-  SystemSnapshot S;
-  materializeTraceInto(Light, S);
-  return S;
-}
-
-void System::snapshotInto(SystemSnapshot &S) const {
-  // Copy-assignment into a recycled snapshot reuses the nested vectors'
-  // capacity element-wise; this is the whole point of the Into form.
   S.Processes = Processes;
   S.Comms = Comms;
   S.EventTrace = EventTrace;
   S.TraceLen = EventTrace.size();
-  S.HasTrace = true;
   S.NumTransitions = NumTransitions;
+  return S;
 }
 
 void System::snapshotLightInto(SystemSnapshot &S) const {
+  // Copy-assignment into a recycled snapshot reuses the nested vectors'
+  // capacity element-wise.
   S.Processes = Processes;
   S.Comms = Comms;
   S.EventTrace.clear(); // Keeps capacity; a light snapshot carries no trace.
@@ -143,22 +126,17 @@ void System::snapshotLightInto(SystemSnapshot &S) const {
   S.NumTransitions = NumTransitions;
 }
 
-void System::materializeTraceInto(const SystemSnapshot &Light,
-                                  SystemSnapshot &Out) const {
-  Out.Processes = Light.Processes;
-  Out.Comms = Light.Comms;
-  Out.TraceLen = Light.TraceLen;
-  Out.NumTransitions = Light.NumTransitions;
-  if (Light.HasTrace) {
-    Out.EventTrace = Light.EventTrace;
-  } else {
+SystemSnapshot System::materializeTrace(const SystemSnapshot &Light) const {
+  SystemSnapshot Out = Light;
+  if (!Light.HasTrace) {
     assert(EventTrace.size() >= Light.TraceLen &&
            "light snapshot outlived its capture path");
     Out.EventTrace.assign(EventTrace.begin(),
                           EventTrace.begin() +
                               static_cast<ptrdiff_t>(Light.TraceLen));
+    Out.HasTrace = true;
   }
-  Out.HasTrace = true;
+  return Out;
 }
 
 void System::restore(const SystemSnapshot &S) {

@@ -228,23 +228,16 @@ public:
   /// copying it: O(state) instead of O(depth). Restoring such a snapshot
   /// truncates the live trace, which is only correct while this System
   /// stays on the DFS path the snapshot was taken on (see SystemSnapshot).
-  SystemSnapshot snapshotLight() const;
-
-  /// Completes a snapshotLight() result into a full, shippable snapshot by
-  /// copying the first TraceLen events of the current trace. Only valid
-  /// while the light snapshot is restorable here (same-path requirement):
-  /// then the live trace's prefix is exactly the trace at capture time.
-  SystemSnapshot materializeTrace(const SystemSnapshot &Light) const;
-
-  /// In-place variants of the three capture operations above. They
-  /// overwrite \p S instead of building a fresh snapshot, so a pooled
-  /// (recycled) snapshot's process/comm/trace buffers are reused by
-  /// element-wise copy assignment — the steady-state checkpointing path
-  /// allocates nothing. Semantically identical to the by-value forms.
-  void snapshotInto(SystemSnapshot &S) const;
+  /// Overwrites \p S in place, so a pooled (recycled) snapshot's
+  /// process/comm buffers are reused by element-wise copy assignment — the
+  /// steady-state checkpointing path allocates nothing.
   void snapshotLightInto(SystemSnapshot &S) const;
-  void materializeTraceInto(const SystemSnapshot &Light,
-                            SystemSnapshot &Out) const;
+
+  /// Completes a light snapshot into a full, shippable one by copying the
+  /// first TraceLen events of the current trace. Only valid while the
+  /// light snapshot is restorable here (same-path requirement): then the
+  /// live trace's prefix is exactly the trace at capture time.
+  SystemSnapshot materializeTrace(const SystemSnapshot &Light) const;
 
   /// Restores the state captured by snapshot(). The snapshot must come
   /// from a System bound to the same Module (any instance for full
@@ -382,7 +375,7 @@ private:
 /// Two flavors differ only in how the event trace is captured:
 ///  * snapshot() stores a full copy — restorable into any System built
 ///    from the same Module (work items ship these across workers);
-///  * snapshotLight() stores just the trace length. Restoring one
+///  * snapshotLightInto() stores just the trace length. Restoring one
 ///    truncates the live trace to that length, which is only correct when
 ///    the System is on the same DFS path the snapshot was taken on (the
 ///    trace is append-only along a path, so the prefix is still intact).

@@ -12,6 +12,8 @@
 //    flag's value (`closer explore --stop-on-error prog.mc` lost prog.mc);
 //  * numeric flag values went through unchecked strtol, so `--depth foo`
 //    silently meant 0 and `--max-runs 1e6` silently meant 1.
+// One test drives the real binary (CLOSER_BIN): an unknown subcommand
+// printed only the usage text, without naming the bad subcommand.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,9 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdio>
+#include <string>
+#include <sys/wait.h>
 #include <vector>
 
 using namespace closer;
@@ -122,6 +127,24 @@ TEST(CliTest, UnknownOptionDiagnosed) {
   Args A = parse({"prog.mc", "--frobnicate"});
   EXPECT_FALSE(A.Error.empty());
   EXPECT_NE(A.Error.find("--frobnicate"), std::string::npos) << A.Error;
+}
+
+TEST(CliTest, UnknownSubcommandNamed) {
+  // `partition` was a subcommand once; it is now `close --partition`.
+  std::string Cmd =
+      std::string(CLOSER_BIN) + " partition resource_manager.mc 2>&1";
+  std::FILE *P = ::popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr) << Cmd;
+  std::string Out;
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+    Out.append(Buf, N);
+  int Status = ::pclose(P);
+  ASSERT_TRUE(WIFEXITED(Status)) << Out;
+  EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+  EXPECT_EQ(Out.rfind("error: unknown subcommand 'partition'\nusage:", 0), 0u)
+      << Out;
 }
 
 TEST(CliTest, ValueFlagMissingValueDiagnosed) {

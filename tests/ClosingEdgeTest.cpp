@@ -211,8 +211,7 @@ process m = main();
 
   // Executable and bounded.
   SearchOptions Opts;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.Closed, Opts).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.RuntimeErrors, 0u);
   EXPECT_GT(Stats.Terminations, 0u);

@@ -79,13 +79,11 @@ TEST(DomainPartitionTest, PartitionedSystemIsExactNotOverApproximate) {
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
 
-  Explorer PartEx(Simplified, Opts);
-  std::vector<Trace> PartTraces = PartEx.collectTraces(512);
+  std::vector<Trace> PartTraces = collectTraces(Simplified, Opts, 512);
 
   Module Naive = naiveCloseModule(*Mod, {127}); // Domain [0,127]: spans 10
                                                 // and 100.
-  Explorer NaiveEx(Naive, Opts);
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(100000);
+  std::vector<Trace> NaiveTraces = collectTraces(Naive, Opts, 100000);
 
   auto Key = [](const std::vector<Trace> &Ts) {
     std::set<std::string> S;
@@ -96,7 +94,8 @@ TEST(DomainPartitionTest, PartitionedSystemIsExactNotOverApproximate) {
   // Same visible-behavior sets — but found with 6 representatives instead
   // of 128 values.
   EXPECT_EQ(Key(PartTraces), Key(NaiveTraces));
-  EXPECT_LT(PartEx.stats().Runs, NaiveEx.stats().Runs / 10);
+  EXPECT_LT(explore(Simplified, Opts).Stats.Runs,
+            explore(Naive, Opts).Stats.Runs / 10);
 }
 
 TEST(DomainPartitionTest, EnvProcessArgumentPartitioned) {
@@ -126,8 +125,7 @@ process g = gate(env);
 
   // Both classifications reachable.
   SearchOptions Opts;
-  Explorer Ex(Simplified, Opts);
-  std::vector<Trace> Traces = Ex.collectTraces(16);
+  std::vector<Trace> Traces = collectTraces(Simplified, Opts, 16);
   std::set<std::string> Payloads;
   for (const Trace &T : Traces)
     for (const VisibleEvent &E : T)
@@ -175,8 +173,7 @@ process m = work(env, env, env);
   EnvAnalysis Analysis(Closed);
   EXPECT_TRUE(Analysis.moduleIsClosed());
   SearchOptions Opts;
-  Explorer Ex(Closed, Opts);
-  std::vector<Trace> Traces = Ex.collectTraces(256);
+  std::vector<Trace> Traces = collectTraces(Closed, Opts, 256);
   std::set<std::pair<bool, bool>> Outcomes;
   for (const Trace &T : Traces) {
     bool SentOne = false, SentTwo = false;

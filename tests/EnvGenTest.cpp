@@ -85,8 +85,7 @@ process m = main();
     SearchOptions Opts;
     Opts.UsePersistentSets = false;
     Opts.UseSleepSets = false;
-    Explorer Ex(Naive, Opts);
-    return Ex.run().Runs;
+    return explore(Naive, Opts).Stats.Runs;
   };
   EXPECT_EQ(CountRuns(1), 2u);
   EXPECT_EQ(CountRuns(7), 8u);
@@ -111,8 +110,7 @@ process m = main();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*R.Closed, Opts);
-  EXPECT_EQ(Ex.run().Runs, 2u);
+  EXPECT_EQ(explore(*R.Closed, Opts).Stats.Runs, 2u);
 }
 
 TEST(EnvGenTest, NaiveAndTransformedAgreeOnVisibleBehaviors) {
@@ -125,14 +123,12 @@ TEST(EnvGenTest, NaiveAndTransformedAgreeOnVisibleBehaviors) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer NaiveEx(Naive, Opts);
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(256);
+  std::vector<Trace> NaiveTraces = collectTraces(Naive, Opts, 256);
   ASSERT_FALSE(NaiveTraces.empty());
 
   CloseResult R = closeSource(figure3Source());
   ASSERT_TRUE(R.ok());
-  Explorer ClosedEx(*R.Closed, Opts);
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(4096);
+  std::vector<Trace> ClosedTraces = collectTraces(*R.Closed, Opts, 4096);
   ASSERT_FALSE(ClosedTraces.empty());
 
   for (const Trace &NT : NaiveTraces) {

@@ -153,13 +153,13 @@ void expectClosedAndExplorable(const char *Source, size_t Depth,
   SearchOptions Opts;
   Opts.MaxDepth = Depth;
   Opts.MaxRuns = 400000;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_TRUE(Stats.Completed) << Stats.str();
   EXPECT_EQ(Stats.AssertionViolations, ExpectAssertViolations)
-      << (Ex.reports().empty() ? Stats.str() : Ex.reports()[0].str());
+      << (Res.Reports.empty() ? Stats.str() : Res.Reports[0].str());
   EXPECT_EQ(Stats.RuntimeErrors, 0u)
-      << (Ex.reports().empty() ? Stats.str() : Ex.reports()[0].str());
+      << (Res.Reports.empty() ? Stats.str() : Res.Reports[0].str());
   EXPECT_GT(Stats.Terminations, 0u);
 }
 
@@ -174,18 +174,16 @@ TEST(IntegrationTest, ElevatorTraceInclusion) {
   SearchOptions Opts;
   Opts.MaxDepth = 18;
   Opts.MaxRuns = 60000;
-  Explorer NaiveEx(Naive, Opts);
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(48);
+  std::vector<Trace> NaiveTraces = collectTraces(Naive, Opts, 48);
   ASSERT_FALSE(NaiveTraces.empty());
 
   CloseResult R = closeSource(elevatorSource());
   ASSERT_TRUE(R.ok());
   SearchOptions ClosedOpts = Opts;
   ClosedOpts.MaxRuns = 400000;
-  Explorer ClosedEx(*R.Closed, ClosedOpts);
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(60000);
-  if (!ClosedEx.stats().Completed)
+  if (!explore(*R.Closed, ClosedOpts).Stats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted";
+  std::vector<Trace> ClosedTraces = collectTraces(*R.Closed, ClosedOpts, 60000);
 
   for (const Trace &NT : NaiveTraces) {
     bool Covered = false;
@@ -231,8 +229,7 @@ TEST(IntegrationTest, AtmAuditorInvariantViolableUnderFreeEnvironment) {
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.Closed, Opts).Stats;
   EXPECT_GT(Stats.AssertionViolations, 0u);
 }
 
@@ -247,10 +244,8 @@ TEST(IntegrationTest, EmittedElevatorBehavesIdentically) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 16;
-  Explorer ExA(*R.Closed, Opts);
-  Explorer ExB(*Reparsed, Opts);
-  std::vector<Trace> A = ExA.collectTraces(4096);
-  std::vector<Trace> B = ExB.collectTraces(4096);
+  std::vector<Trace> A = collectTraces(*R.Closed, Opts, 4096);
+  std::vector<Trace> B = collectTraces(*Reparsed, Opts, 4096);
   std::set<std::string> SA, SB;
   for (const Trace &T : A)
     SA.insert(traceToString(T));
@@ -297,8 +292,7 @@ process drv = driver();
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   SearchOptions Opts;
   Opts.MaxDepth = 20;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.Closed, Opts).Stats;
   EXPECT_EQ(Stats.AssertionViolations, 0u)
       << "the stubbed driver issues at most one step";
 
@@ -331,8 +325,7 @@ process dev = device();
         Node.Builtin == BuiltinKind::VsAssert) {
       EXPECT_NE(Node.Args[0]->Kind, ExprKind::Unknown);
     }
-  Explorer Ex2(*R2.Closed, Opts);
-  SearchStats Stats2 = Ex2.run();
+  SearchStats Stats2 = explore(*R2.Closed, Opts).Stats;
   EXPECT_GT(Stats2.AssertionViolations, 0u)
       << "the most general environment can step repeatedly";
 }

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
@@ -76,13 +76,13 @@ void expectParallelMatchesSequential(const Module &Mod, SearchOptions Opts,
 
   SearchOptions Seq = Opts;
   Seq.Jobs = 1;
-  Explorer Sequential(Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
+  SearchResult Sequential = explore(Mod, Seq);
+  SearchStats SeqStats = Sequential.Stats;
 
   SearchResult Parallel = explore(Mod, Opts);
 
   EXPECT_EQ(treeShape(SeqStats), treeShape(Parallel.Stats)) << Label;
-  EXPECT_EQ(errorSet(Sequential.reports()), errorSet(Parallel.Reports))
+  EXPECT_EQ(errorSet(Sequential.Reports), errorSet(Parallel.Reports))
       << Label;
 }
 
@@ -233,11 +233,11 @@ TEST(ParallelSearchTest, NegativeTossBranchBoundIsReportedNotEnumerated) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer Ex(Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(Mod, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_GE(Stats.RuntimeErrors, 1u);
   bool SawBadBound = false;
-  for (const ErrorReport &Rep : Ex.reports())
+  for (const ErrorReport &Rep : Res.Reports)
     if (Rep.Kind == ErrorReport::Type::RuntimeError &&
         Rep.Error.Kind == RunErrorKind::BadTossBound)
       SawBadBound = true;
@@ -255,8 +255,7 @@ TEST(ParallelSearchTest, NegativeEnvDomainIsReportedNotEnumerated) {
   SearchOptions Opts;
   Opts.MaxDepth = 20;
   Opts.Runtime.EnvDomainBound = -3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_GE(Stats.RuntimeErrors, 1u);
   // The bogus domain must not multiply the search: one run, one report.
@@ -280,10 +279,10 @@ process m = main();
   ASSERT_TRUE(Mod);
   SearchOptions Opts;
   Opts.MaxReports = 2;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_EQ(Stats.AssertionViolations, 4u);
-  EXPECT_EQ(Ex.reports().size(), 2u);
+  EXPECT_EQ(Res.Reports.size(), 2u);
   EXPECT_EQ(Stats.ReportsDropped, 2u);
   EXPECT_NE(Stats.str().find("reports-dropped=2"), std::string::npos);
 }

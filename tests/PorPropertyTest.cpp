@@ -34,8 +34,7 @@ SearchStats explore(const Module &Mod, bool Persistent, bool Sleep,
   Opts.UsePersistentSets = Persistent;
   Opts.UseSleepSets = Sleep;
   Opts.StateCacheBits = Hash ? StateCache::DefaultBits : 0;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return explore(Mod, Opts).Stats;
 }
 
 /// Closes the seed's program; null when the full search cannot finish in

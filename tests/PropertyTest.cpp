@@ -77,15 +77,15 @@ TEST_P(PropertyTest, TraceInclusionTheorem6) {
 
   // S x E_S over the domain {0,1,2}.
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(8, 300));
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(64);
+  std::vector<Trace> NaiveTraces =
+      collectTraces(Naive, boundedSearch(8, 300), 64);
 
   CloseResult R = closeSource(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Explorer ClosedEx(*R.Closed, boundedSearch(8, 60000));
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(30000);
-  if (!ClosedEx.stats().Completed)
+  if (!explore(*R.Closed, boundedSearch(8, 60000)).Stats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
+  std::vector<Trace> ClosedTraces =
+      collectTraces(*R.Closed, boundedSearch(8, 60000), 30000);
 
   for (const Trace &NT : NaiveTraces) {
     bool Covered = false;
@@ -108,15 +108,14 @@ TEST_P(PropertyTest, DeadlockPreservationTheorem7) {
   ASSERT_TRUE(Open) << Diags.str();
 
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(10, 500));
-  SearchStats NaiveStats = NaiveEx.run();
+  SearchStats NaiveStats = explore(Naive, boundedSearch(10, 500)).Stats;
   if (NaiveStats.Deadlocks == 0)
     return; // Nothing to preserve for this seed.
 
   CloseResult R = closeSource(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Explorer ClosedEx(*R.Closed, boundedSearch(10, 100000));
-  SearchStats ClosedStats = ClosedEx.run();
+  SearchStats ClosedStats =
+      explore(*R.Closed, boundedSearch(10, 100000)).Stats;
   if (!ClosedStats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
   EXPECT_GE(ClosedStats.Deadlocks, 1u)
@@ -144,13 +143,12 @@ TEST_P(PropertyTest, AssertionPreservationTheorem7) {
         return;
 
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(10, 500));
-  SearchStats NaiveStats = NaiveEx.run();
+  SearchStats NaiveStats = explore(Naive, boundedSearch(10, 500)).Stats;
   if (NaiveStats.AssertionViolations == 0)
     return;
 
-  Explorer ClosedEx(*R.Closed, boundedSearch(10, 100000));
-  SearchStats ClosedStats = ClosedEx.run();
+  SearchStats ClosedStats =
+      explore(*R.Closed, boundedSearch(10, 100000)).Stats;
   if (!ClosedStats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
   EXPECT_GE(ClosedStats.AssertionViolations, 1u)
@@ -169,10 +167,10 @@ TEST_P(PropertyTest, EmittedClosedSourceRoundTrips) {
   ASSERT_TRUE(Reparsed) << Diags.str() << "\nemitted source:\n" << Emitted;
 
   // The reparsed program must show the same visible behaviors.
-  Explorer ExA(*R.Closed, boundedSearch(6, 4000));
-  Explorer ExB(*Reparsed, boundedSearch(6, 4000));
-  std::vector<Trace> TracesA = ExA.collectTraces(2000);
-  std::vector<Trace> TracesB = ExB.collectTraces(2000);
+  std::vector<Trace> TracesA =
+      collectTraces(*R.Closed, boundedSearch(6, 4000), 2000);
+  std::vector<Trace> TracesB =
+      collectTraces(*Reparsed, boundedSearch(6, 4000), 2000);
 
   auto Key = [](const Trace &T) { return traceToString(T); };
   std::set<std::string> SetA, SetB;

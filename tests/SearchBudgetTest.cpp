@@ -41,8 +41,7 @@ TEST(SearchBudgetTest, MaxStatesStopsSearch) {
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.MaxStates = 20;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_FALSE(Stats.Completed);
   EXPECT_LE(Stats.StatesVisited, 20u);
 }
@@ -61,29 +60,23 @@ process m = main();
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.MaxReports = 3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_EQ(Stats.AssertionViolations, 9u); // Outcomes 1..9 violate.
-  EXPECT_EQ(Ex.reports().size(), 3u);       // Storage capped.
+  EXPECT_EQ(Res.Reports.size(), 3u);        // Storage capped.
 }
 
 TEST(SearchBudgetTest, RunIsDeterministicAcrossInvocations) {
   auto Mod = mustCompile(tossTree(3));
   SearchOptions Opts;
-  Explorer Ex1(*Mod, Opts);
-  Explorer Ex2(*Mod, Opts);
-  SearchStats A = Ex1.run();
-  SearchStats B = Ex2.run();
+  // Every explore() call starts from a clean slate, so two searches of the
+  // same module reproduce each other's numbers.
+  SearchStats A = explore(*Mod, Opts).Stats;
+  SearchStats B = explore(*Mod, Opts).Stats;
   EXPECT_EQ(A.Runs, B.Runs);
   EXPECT_EQ(A.StatesVisited, B.StatesVisited);
   EXPECT_EQ(A.TreeTransitions, B.TreeTransitions);
   EXPECT_EQ(A.Transitions, B.Transitions);
-
-  // Re-running on the same Explorer also reproduces the numbers (full
-  // reset semantics).
-  SearchStats C = Ex1.run();
-  EXPECT_EQ(A.Runs, C.Runs);
-  EXPECT_EQ(A.StatesVisited, C.StatesVisited);
 }
 
 TEST(SearchBudgetTest, StatsStringMentionsEveryCounter) {
@@ -120,11 +113,11 @@ process m = main();
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.Runtime.InvisibleStepLimit = 200;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_EQ(Stats.Divergences, 1u);
   bool Found = false;
-  for (const ErrorReport &R : Ex.reports())
+  for (const ErrorReport &R : Res.Reports)
     Found |= R.Kind == ErrorReport::Type::Divergence;
   EXPECT_TRUE(Found);
 }
@@ -146,12 +139,12 @@ proc main() {
 process m = main();
 )");
   SearchOptions Opts;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, Opts);
+  SearchStats Stats = Res.Stats;
   // Both sends and the assert are reachable and covered.
   EXPECT_EQ(Stats.VisibleOpsTotal, 3u);
   EXPECT_EQ(Stats.VisibleOpsCovered, 3u);
-  EXPECT_TRUE(Ex.uncoveredVisibleOps().empty());
+  EXPECT_TRUE(Res.Uncovered.empty());
   EXPECT_NE(Stats.str().find("visible-op-coverage=3/3"), std::string::npos);
 }
 
@@ -169,11 +162,11 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, {});
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, {});
+  SearchStats Stats = Res.Stats;
   EXPECT_EQ(Stats.VisibleOpsTotal, 2u);
   EXPECT_EQ(Stats.VisibleOpsCovered, 1u);
-  auto Uncovered = Ex.uncoveredVisibleOps();
+  auto Uncovered = Res.Uncovered;
   ASSERT_EQ(Uncovered.size(), 1u);
   EXPECT_EQ(Uncovered[0].first, "main");
 }
@@ -192,10 +185,10 @@ process m = main();
 )");
   SearchOptions Shallow;
   Shallow.MaxDepth = 1;
-  Explorer Ex(*Mod, Shallow);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*Mod, Shallow);
+  SearchStats Stats = Res.Stats;
   EXPECT_EQ(Stats.VisibleOpsCovered, 1u);
-  EXPECT_EQ(Ex.uncoveredVisibleOps().size(), 2u);
+  EXPECT_EQ(Res.Uncovered.size(), 2u);
 }
 
 TEST(SearchBudgetTest, ErrorReportRenderingIsInformative) {
@@ -222,10 +215,9 @@ process r = right();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*Mod, Opts);
-  Ex.run();
-  ASSERT_FALSE(Ex.reports().empty());
-  std::string Text = Ex.reports()[0].str();
+  SearchResult Res = explore(*Mod, Opts);
+  ASSERT_FALSE(Res.Reports.empty());
+  std::string Text = Res.Reports[0].str();
   EXPECT_NE(Text.find("deadlock"), std::string::npos) << Text;
   EXPECT_NE(Text.find("sem_wait"), std::string::npos) << Text;
   EXPECT_NE(Text.find("depth"), std::string::npos) << Text;

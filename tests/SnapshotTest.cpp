@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 #include "runtime/System.h"
 
 #include "RandomProgram.h"
@@ -167,6 +167,55 @@ TEST(SnapshotTest, RestoreUndoesCommObjectMutation) {
   EXPECT_TRUE(Sys.trace().empty());
 }
 
+TEST(SnapshotTest, MaterializedLightSnapshotRestoresIntoAnotherSystem) {
+  // The work-donation path: a worker's checkpoints are light (trace length
+  // only); donating one materializes it while the donor is deeper on the
+  // same path, and the receiver restores it into its own System. The
+  // receiver must land exactly where a full snapshot would have put it.
+  auto Mod = mustCompile(snapshotWorkload());
+  ASSERT_TRUE(Mod);
+  ZeroChoiceProvider Zero;
+  auto Step = [&Zero](System &Sys) {
+    int P = firstEnabled(Sys);
+    ASSERT_GE(P, 0);
+    ASSERT_TRUE(Sys.executeTransition(P, Zero).ok());
+  };
+
+  System Donor(*Mod, {});
+  for (int I = 0; I != 7; ++I)
+    Step(Donor);
+  SystemSnapshot Light;
+  Donor.snapshotLightInto(Light);
+  SystemSnapshot Full = Donor.snapshot();
+  const uint64_t Print = Donor.fingerprint();
+  const std::string Trace = traceToString(Donor.trace());
+  ASSERT_FALSE(Donor.trace().empty());
+  for (int I = 0; I != 3; ++I)
+    Step(Donor); // The donor moves on down the same path.
+
+  SystemSnapshot Shipped = Donor.materializeTrace(Light);
+  System Receiver(*Mod, {});
+  Receiver.restore(Shipped);
+  System Reference(*Mod, {});
+  Reference.restore(Full);
+  EXPECT_EQ(Receiver.depth(), 7u);
+  EXPECT_EQ(Receiver.depth(), Reference.depth());
+  EXPECT_EQ(Receiver.fingerprint(), Print);
+  EXPECT_EQ(Receiver.fingerprint(), Reference.fingerprint());
+  EXPECT_EQ(traceToString(Receiver.trace()), Trace);
+  EXPECT_EQ(traceToString(Receiver.trace()),
+            traceToString(Reference.trace()));
+
+  // Both resume identically from there.
+  for (int I = 0; I != 3; ++I) {
+    Step(Receiver);
+    Step(Reference);
+    EXPECT_EQ(Receiver.fingerprint(), Reference.fingerprint());
+    EXPECT_EQ(traceToString(Receiver.trace()),
+              traceToString(Reference.trace()));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Search-level equivalence: checkpointed vs stateless
 //===----------------------------------------------------------------------===//
@@ -204,17 +253,17 @@ void expectCheckpointedMatchesStateless(const Module &Mod,
                                         const std::string &Label) {
   Opts.MaxReports = 4096;
   Opts.CheckpointInterval = 0;
-  Explorer Stateless(Mod, Opts);
-  SearchStats Base = Stateless.run();
+  SearchResult Stateless = explore(Mod, Opts);
+  SearchStats Base = Stateless.Stats;
 
   for (size_t K : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
     SearchOptions CkptOpts = Opts;
     CkptOpts.CheckpointInterval = K;
-    Explorer Ckpt(Mod, CkptOpts);
-    SearchStats S = Ckpt.run();
+    SearchResult Ckpt = explore(Mod, CkptOpts);
+    SearchStats S = Ckpt.Stats;
     std::string Tag = Label + " K=" + std::to_string(K);
     EXPECT_EQ(treeShape(Base), treeShape(S)) << Tag;
-    EXPECT_EQ(errorSet(Stateless.reports()), errorSet(Ckpt.reports())) << Tag;
+    EXPECT_EQ(errorSet(Stateless.Reports), errorSet(Ckpt.Reports)) << Tag;
     EXPECT_EQ(Base.Runs, S.Runs) << Tag;
     // Executed-transition accounting stays exact in both modes.
     EXPECT_EQ(S.Transitions, S.TreeTransitions + S.TransitionsReplayed)
@@ -229,7 +278,7 @@ void expectCheckpointedMatchesStateless(const Module &Mod,
   SearchResult Parallel = explore(Mod, Par);
   EXPECT_EQ(treeShape(Base), treeShape(Parallel.Stats))
       << Label << " jobs=4 K=2";
-  EXPECT_EQ(errorSet(Stateless.reports()), errorSet(Parallel.Reports))
+  EXPECT_EQ(errorSet(Stateless.Reports), errorSet(Parallel.Reports))
       << Label << " jobs=4 K=2";
 }
 
@@ -277,14 +326,12 @@ TEST(SnapshotTest, CheckpointingSkipsReplayWorkOnDeepTrees) {
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
 
-  Explorer Stateless(*Mod, Opts);
-  SearchStats Base = Stateless.run();
+  SearchStats Base = explore(*Mod, Opts).Stats;
   EXPECT_EQ(Base.TransitionsRestored, 0u);
 
   SearchOptions Ckpt = Opts;
   Ckpt.CheckpointInterval = 2;
-  Explorer Checkpointed(*Mod, Ckpt);
-  SearchStats S = Checkpointed.run();
+  SearchStats S = explore(*Mod, Ckpt).Stats;
 
   EXPECT_EQ(treeShape(Base), treeShape(S));
   EXPECT_GT(S.TransitionsRestored, 0u);
@@ -297,16 +344,15 @@ TEST(SnapshotTest, CheckpointingSkipsReplayWorkOnDeepTrees) {
 }
 
 TEST(SnapshotTest, ExplorerRunIsRepeatableWithCheckpointing) {
-  // run() must clear checkpoint state between invocations: a second run on
-  // the same Explorer instance sees the same tree.
+  // Checkpoint state never leaks between searches: a second checkpointed
+  // search of the same module sees the same tree and does the same work.
   auto Mod = mustCompile(readExample("figure2.mc"));
   ASSERT_TRUE(Mod);
   SearchOptions Opts;
   Opts.MaxDepth = 10;
   Opts.CheckpointInterval = 3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats First = Ex.run();
-  SearchStats Second = Ex.run();
+  SearchStats First = explore(*Mod, Opts).Stats;
+  SearchStats Second = explore(*Mod, Opts).Stats;
   EXPECT_EQ(treeShape(First), treeShape(Second));
   EXPECT_EQ(First.Transitions, Second.Transitions);
   EXPECT_EQ(First.TransitionsRestored, Second.TransitionsRestored);

@@ -24,7 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
@@ -139,8 +139,8 @@ void checkCell(const MatrixProgram &P, size_t Jobs, size_t Ckpt,
 
   SearchOptions Seq = Opts;
   Seq.Jobs = 1;
-  Explorer Sequential(*P.Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
+  SearchResult Sequential = explore(*P.Mod, Seq);
+  SearchStats SeqStats = Sequential.Stats;
 
   if (Cached) {
     // The determinism precondition for cached runs (see file comment). If
@@ -156,11 +156,11 @@ void checkCell(const MatrixProgram &P, size_t Jobs, size_t Ckpt,
 
   EXPECT_EQ(treeShape(SeqStats), treeShape(Parallel.Stats)) << Label;
   if (Cached)
-    EXPECT_EQ(stateErrorSet(Sequential.reports()),
+    EXPECT_EQ(stateErrorSet(Sequential.Reports),
               stateErrorSet(Parallel.Reports))
         << Label;
   else
-    EXPECT_EQ(errorSet(Sequential.reports()), errorSet(Parallel.Reports))
+    EXPECT_EQ(errorSet(Sequential.Reports), errorSet(Parallel.Reports))
         << Label;
 }
 
@@ -189,8 +189,8 @@ TEST(StealEquivalenceTest, TerminationUnderHeavyDonation) {
   Seq.MaxDepth = 10;
   Seq.MaxReports = 4096;
   Seq.Jobs = 1;
-  Explorer Sequential(*Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
+  SearchResult Sequential = explore(*Mod, Seq);
+  SearchStats SeqStats = Sequential.Stats;
   std::string Want = treeShape(SeqStats);
 
   for (int Round = 0; Round != 20; ++Round) {
@@ -199,7 +199,7 @@ TEST(StealEquivalenceTest, TerminationUnderHeavyDonation) {
     Opts.SplitDepth = 1;
     SearchResult R = explore(*Mod, Opts);
     ASSERT_EQ(Want, treeShape(R.Stats)) << "round " << Round;
-    ASSERT_EQ(errorSet(Sequential.reports()), errorSet(R.Reports))
+    ASSERT_EQ(errorSet(Sequential.Reports), errorSet(R.Reports))
         << "round " << Round;
   }
 }

@@ -108,14 +108,14 @@ TEST(ArenaTest, BumpAllocationAndGeometricGrowth) {
   EXPECT_NE(P1, P2);
   EXPECT_EQ(A.bytesFromUpstream(), AfterFirst);
   // Outgrows it: a new (geometrically larger) block is fetched.
-  A.allocate(512, 8);
+  EXPECT_NE(A.allocate(512, 8), nullptr);
   EXPECT_GT(A.bytesFromUpstream(), AfterFirst);
   EXPECT_GE(A.blocksFromUpstream(), 2u);
 }
 
 TEST(ArenaTest, AlignmentIsHonored) {
   support::Arena A(128);
-  A.allocate(1, 1); // Skew the bump pointer.
+  EXPECT_NE(A.allocate(1, 1), nullptr); // Skew the bump pointer.
   for (size_t Align : {size_t{2}, size_t{8}, size_t{16}, size_t{64}}) {
     void *P = A.allocate(8, Align);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u)
@@ -126,13 +126,13 @@ TEST(ArenaTest, AlignmentIsHonored) {
 TEST(ArenaTest, ResetReusesBlocksWithoutUpstreamTraffic) {
   support::Arena A(256);
   for (int I = 0; I != 8; ++I)
-    A.allocate(64, 8);
+    EXPECT_NE(A.allocate(64, 8), nullptr);
   uint64_t Peak = A.bytesFromUpstream();
   // Steady state: reset + same workload touches the heap zero times.
   for (int Round = 0; Round != 10; ++Round) {
     A.reset();
     for (int I = 0; I != 8; ++I)
-      A.allocate(64, 8);
+      EXPECT_NE(A.allocate(64, 8), nullptr);
     EXPECT_EQ(A.bytesFromUpstream(), Peak) << "round " << Round;
   }
 }

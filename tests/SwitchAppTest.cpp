@@ -82,12 +82,11 @@ TEST(SwitchAppTest, BugFreeVariantHasNoDeadlocksUpToDepth) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_TRUE(Stats.Completed);
-  EXPECT_EQ(Stats.Deadlocks, 0u) << (Ex.reports().empty()
-                                         ? ""
-                                         : Ex.reports()[0].str());
+  EXPECT_EQ(Stats.Deadlocks, 0u)
+      << (Res.Reports.empty() ? "" : Res.Reports[0].str());
   EXPECT_EQ(Stats.AssertionViolations, 0u);
   EXPECT_GT(Stats.Terminations, 0u);
 }
@@ -106,12 +105,12 @@ TEST(SwitchAppTest, SeededTrunkLeakIsFoundAfterClosing) {
   SearchOptions Opts;
   Opts.MaxDepth = 60;
   Opts.StopOnFirstError = true;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Res = explore(*R.Closed, Opts);
+  SearchStats Stats = Res.Stats;
   EXPECT_GE(Stats.Deadlocks, 1u)
       << "the trunk leak must surface as a deadlock; stats: " << Stats.str();
-  ASSERT_FALSE(Ex.reports().empty());
-  EXPECT_EQ(Ex.reports()[0].Kind, ErrorReport::Type::Deadlock);
+  ASSERT_FALSE(Res.Reports.empty());
+  EXPECT_EQ(Res.Reports[0].Kind, ErrorReport::Type::Deadlock);
 }
 
 TEST(SwitchAppTest, PreservedAssertionsSurviveClosing) {

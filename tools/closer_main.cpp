@@ -708,6 +708,7 @@ int main(int argc, char **argv) {
     return cmdGenSwitchApp(A);
   if (Cmd == "gen-corpus")
     return cmdGenCorpus(A);
+  std::fprintf(stderr, "error: unknown subcommand '%s'\n", Cmd.c_str());
   usage();
   return 1;
 }
