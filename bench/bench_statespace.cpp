@@ -22,8 +22,6 @@
 #include "envgen/NaiveClose.h"
 #include "explorer/Search.h"
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <thread>
 
@@ -51,10 +49,6 @@ double timedExplore(const Module &Mod, const SearchOptions &Opts,
   Out = explore(Mod, Opts).Stats;
   auto T1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(T1 - T0).count();
-}
-
-SearchStats exploreStats(const Module &Mod) {
-  return explore(Mod, exploreOptions()).Stats;
 }
 
 const char *execName(ExecMode M) {
@@ -92,33 +86,6 @@ void emitExploreRecord(BenchJson &Json, const std::string &Config,
       .num("states_per_sec", safeRate(Stats.StatesVisited, Seconds))
       .num("transitions_per_sec", safeRate(Stats.TreeTransitions, Seconds));
 }
-
-void BM_NaiveEnvironment(benchmark::State &State) {
-  int64_t Domain = State.range(0);
-  auto Open = benchCompile(filterProgram(FilterReads));
-  Module Naive = naiveCloseModule(*Open, {Domain - 1});
-  SearchStats Stats;
-  for (auto _ : State)
-    Stats = exploreStats(Naive);
-  State.counters["domain"] = static_cast<double>(Domain);
-  State.counters["states"] = static_cast<double>(Stats.StatesVisited);
-  State.counters["paths"] = static_cast<double>(Stats.Runs);
-  State.counters["transitions"] = static_cast<double>(Stats.TreeTransitions);
-}
-BENCHMARK(BM_NaiveEnvironment)->RangeMultiplier(4)->Range(2, 128);
-
-void BM_TransformedClosed(benchmark::State &State) {
-  CloseResult R = closeSource(filterProgram(FilterReads));
-  if (!R.ok())
-    std::abort();
-  SearchStats Stats;
-  for (auto _ : State)
-    Stats = exploreStats(*R.Closed);
-  State.counters["states"] = static_cast<double>(Stats.StatesVisited);
-  State.counters["paths"] = static_cast<double>(Stats.Runs);
-  State.counters["transitions"] = static_cast<double>(Stats.TreeTransitions);
-}
-BENCHMARK(BM_TransformedClosed);
 
 /// Work-stealing scheduler series (steal_grid): the cached grid workload
 /// at j=1 and j=min(nproc, 4) workers (j=2 on a single-core box, purely
@@ -230,8 +197,7 @@ int main(int argc, char **argv) {
       BenchJson Json;
       if (runStealGridSeries(Json))
         return 1;
-      Json.write("BENCH_statespace_steal.json");
-      return 0;
+      return Json.write("BENCH_statespace_steal.json") ? 0 : 1;
     }
 
   BenchJson Json;
@@ -471,9 +437,5 @@ int main(int argc, char **argv) {
   if (runStealGridSeries(Json))
     return 1;
 
-  Json.write("BENCH_statespace.json");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Json.write("BENCH_statespace.json") ? 0 : 1;
 }

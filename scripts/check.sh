@@ -67,7 +67,10 @@ finish() {
 
 echo "== tier-1: configure + build =="
 # Nothing below can run without a build, so this step alone is fatal.
-if ! cmake -B "$BUILD" -S . >/dev/null || ! cmake --build "$BUILD" -j; then
+# One compiler per CPU: an uncapped -j on a dirty tree starts dozens of
+# compilers at once and can exhaust memory.
+if ! cmake -B "$BUILD" -S . >/dev/null ||
+   ! cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 1)"; then
   echo "FAILED: configure + build" >&2
   exit 1
 fi
@@ -172,7 +175,7 @@ gate "closing linearity gate (bench_scaling)"
 set -e
 BENCH_SCALING="$BUILD/bench/bench_scaling"
 if [ -x "$BENCH_SCALING" ]; then
-  (cd "$BUILD/bench" && ./bench_scaling --json-only >/dev/null)
+  (cd "$BUILD/bench" && ./bench_scaling >/dev/null)
   validate_bench "$BUILD/bench/BENCH_scaling.json"
   "$PY" - "$BUILD/bench/BENCH_scaling.json" <<'EOF'
 import json, sys

@@ -52,6 +52,7 @@ json::Value closer::statsToJson(const SearchStats &S) {
   O.add("visible_ops_total", S.VisibleOpsTotal);
   O.add("completed", S.Completed);
   O.add("interrupted", S.Interrupted);
+  O.add("stopped_at_first_error", S.StoppedAtFirstError);
   O.add("wall_seconds", S.WallSeconds);
   return O;
 }
@@ -78,6 +79,7 @@ json::Value closer::runArtifactToJson(const SearchResult &R) {
   Root.add("schema", statsJsonSchema());
   Root.add("interrupted", S.Interrupted);
   Root.add("completed", S.Completed);
+  Root.add("stopped_at_first_error", S.StoppedAtFirstError);
   Root.add("wall_seconds", S.WallSeconds);
   Root.add("states_per_second", finiteRate(S.StatesVisited, S.WallSeconds));
   Root.add("transitions_per_second",

@@ -628,6 +628,11 @@ SearchResult SearchDriver::run(const Module &Mod, const SearchOptions &Options,
   merge(R, Mod, Ps);
   R.Stats.Completed = !Control.Stop.load(std::memory_order_acquire);
   R.Stats.Interrupted = Mon.interrupted() && !R.Stats.Completed;
+  SearchStats &S = R.Stats;
+  S.StoppedAtFirstError =
+      !S.Completed && Opts.StopOnFirstError &&
+      (S.AssertionViolations || S.RuntimeErrors || S.Divergences ||
+       (Opts.DeadlockIsError && S.Deadlocks));
   R.Stats.WallSeconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - Begin)
                             .count();

@@ -49,9 +49,10 @@ std::string SearchStats::str() const {
   if (VisibleOpsTotal)
     Out += " visible-op-coverage=" + std::to_string(VisibleOpsCovered) +
            "/" + std::to_string(VisibleOpsTotal);
-  Out += Completed      ? " (complete)"
-         : Interrupted  ? " (interrupted)"
-                        : " (budget exhausted)";
+  Out += Completed             ? " (complete)"
+         : StoppedAtFirstError ? " (stopped at first error)"
+         : Interrupted         ? " (interrupted)"
+                               : " (budget exhausted)";
   return Out;
 }
 

@@ -189,6 +189,10 @@ struct SearchStats {
   /// MaxRuns/MaxStates/StopOnFirstError condition. Partial results are
   /// still valid; resume prefixes identify the abandoned subtrees.
   bool Interrupted = false;
+  /// The run stopped because StopOnFirstError was set and it counted a
+  /// qualifying error: an assertion violation, a runtime error, a
+  /// divergence, or a deadlock under DeadlockIsError.
+  bool StoppedAtFirstError = false;
   /// Wall-clock duration of the run (not part of str(): tree-shaped output
   /// stays bit-identical across machines and runs).
   double WallSeconds = 0;
@@ -225,9 +229,10 @@ struct SearchResult {
   SearchStats Stats;
   std::vector<ErrorReport> Reports;
   /// Per-part statistics: element 0 is the seeding pass, then one entry
-  /// per worker thread. Summing them reproduces Stats up to the merge-derived
-  /// fields (coverage, Completed/Interrupted/WallSeconds). A one-explorer
-  /// run (Jobs <= 1) has the single entry Workers[0] == Stats.
+  /// per worker thread. Summing them reproduces Stats up to the
+  /// merge-derived fields (coverage, Completed/Interrupted/
+  /// StoppedAtFirstError/WallSeconds). A one-explorer run (Jobs <= 1) has
+  /// the single entry Workers[0] == Stats.
   std::vector<SearchStats> Workers;
   /// For runs stopped early (time budget, SIGINT, a hard budget or the
   /// first error): replayable choice prefixes of the abandoned subtrees —

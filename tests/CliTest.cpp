@@ -12,8 +12,9 @@
 //    flag's value (`closer explore --stop-on-error prog.mc` lost prog.mc);
 //  * numeric flag values went through unchecked strtol, so `--depth foo`
 //    silently meant 0 and `--max-runs 1e6` silently meant 1.
-// One test drives the real binary (CLOSER_BIN): an unknown subcommand
-// printed only the usage text, without naming the bad subcommand.
+// Two tests drive the real binary (CLOSER_BIN): an unknown subcommand
+// printed only the usage text, without naming the bad subcommand, and a
+// `--stop-on-error` stop was labelled "(budget exhausted)".
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +23,11 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 using namespace closer;
@@ -47,6 +51,27 @@ const FlagSpec &spec() {
 Args parse(std::vector<const char *> Argv) {
   Argv.insert(Argv.begin(), {"closer", "explore"});
   return parseArgs(static_cast<int>(Argv.size()), Argv.data(), 2, spec());
+}
+
+/// Runs the real binary with \p CmdArgs under /bin/sh; returns its stdout
+/// and stderr, and sets \p Exit to its exit code (-1 if it did not exit).
+std::string runCloser(const std::string &CmdArgs, int &Exit) {
+  std::string Cmd = std::string(CLOSER_BIN) + " " + CmdArgs + " 2>&1";
+  std::FILE *P = ::popen(Cmd.c_str(), "r");
+  Exit = -1;
+  if (!P) {
+    ADD_FAILURE() << "popen failed: " << Cmd;
+    return "";
+  }
+  std::string Out;
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+    Out.append(Buf, N);
+  int Status = ::pclose(P);
+  if (WIFEXITED(Status))
+    Exit = WEXITSTATUS(Status);
+  return Out;
 }
 
 TEST(CliTest, PositionalAfterBooleanFlagStaysPositional) {
@@ -131,20 +156,39 @@ TEST(CliTest, UnknownOptionDiagnosed) {
 
 TEST(CliTest, UnknownSubcommandNamed) {
   // `partition` was a subcommand once; it is now `close --partition`.
-  std::string Cmd =
-      std::string(CLOSER_BIN) + " partition resource_manager.mc 2>&1";
-  std::FILE *P = ::popen(Cmd.c_str(), "r");
-  ASSERT_NE(P, nullptr) << Cmd;
-  std::string Out;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
-    Out.append(Buf, N);
-  int Status = ::pclose(P);
-  ASSERT_TRUE(WIFEXITED(Status)) << Out;
-  EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+  int Exit;
+  std::string Out = runCloser("partition resource_manager.mc", Exit);
+  EXPECT_EQ(Exit, 1) << Out;
   EXPECT_EQ(Out.rfind("error: unknown subcommand 'partition'\nusage:", 0), 0u)
       << Out;
+}
+
+TEST(CliTest, StopOnErrorNamesItsStopReason) {
+  // No budget is set: the run stops on its first deadlock, and both the
+  // summary line and the stats artifact must say so.
+  std::string Json = ::testing::TempDir() + "closer_cli_stop_" +
+                     std::to_string(::getpid()) + ".json";
+  int Exit;
+  std::string Out = runCloser(std::string("explore ") + CLOSER_SOURCE_DIR +
+                                  "/examples/minic/lock_order_bug.mc "
+                                  "--depth 14 --stop-on-error --stats-json " +
+                                  Json,
+                              Exit);
+  EXPECT_EQ(Exit, 2) << Out; // Errors found.
+  EXPECT_NE(Out.find("deadlocks=1 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("(stopped at first error)"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("(budget exhausted)"), std::string::npos) << Out;
+
+  std::ifstream In(Json);
+  std::stringstream Artifact;
+  Artifact << In.rdbuf();
+  std::remove(Json.c_str());
+  EXPECT_NE(Artifact.str().find("\"stopped_at_first_error\": true"),
+            std::string::npos)
+      << Artifact.str();
+  EXPECT_NE(Artifact.str().find("\"completed\": false"), std::string::npos);
+  EXPECT_NE(Artifact.str().find("\"interrupted\": false"),
+            std::string::npos);
 }
 
 TEST(CliTest, ValueFlagMissingValueDiagnosed) {
